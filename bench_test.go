@@ -16,6 +16,7 @@ import (
 	"jobgraph/internal/dag"
 	"jobgraph/internal/features"
 	"jobgraph/internal/ged"
+	"jobgraph/internal/linalg"
 	"jobgraph/internal/obs"
 	"jobgraph/internal/obs/flight"
 	"jobgraph/internal/pattern"
@@ -151,13 +152,27 @@ func BenchmarkFig6TaskTypes(b *testing.B) {
 	}
 }
 
+// kernelMatrix embeds graphs in one dictionary and returns their dense
+// normalized similarity matrix.
+func kernelMatrix(graphs []*dag.Graph, opt wl.Options, workers int) (*linalg.Matrix, error) {
+	vecs, _, err := wl.Features(graphs, opt)
+	if err != nil {
+		return nil, err
+	}
+	m, err := wl.SymMatrixFromCompactOpts(wl.CompactAll(vecs), wl.MatrixOptions{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	return m.Dense(), nil
+}
+
 // BenchmarkFig7KernelMatrix regenerates the 100×100 WL similarity map
 // (E7) — the pipeline's computational core.
 func BenchmarkFig7KernelMatrix(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := wl.KernelMatrix(f.sample, wl.DefaultOptions(), 0); err != nil {
+		if _, err := kernelMatrix(f.sample, wl.DefaultOptions(), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,7 +213,7 @@ func BenchmarkAblationWLDepth(b *testing.B) {
 		b.Run(fmt.Sprintf("h=%d", h), func(b *testing.B) {
 			opt := wl.Options{Iterations: h, UseTypeLabels: true}
 			for i := 0; i < b.N; i++ {
-				if _, err := wl.KernelMatrix(f.sample, opt, 0); err != nil {
+				if _, err := kernelMatrix(f.sample, opt, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -261,7 +276,7 @@ func BenchmarkAblationKernelParallel(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := wl.KernelMatrix(f.sample, wl.DefaultOptions(), w); err != nil {
+				if _, err := kernelMatrix(f.sample, wl.DefaultOptions(), w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -277,7 +292,7 @@ func BenchmarkAblationBaseKernel(b *testing.B) {
 		b.Run(base.String(), func(b *testing.B) {
 			opt := wl.Options{Iterations: 3, UseTypeLabels: true, Base: base}
 			for i := 0; i < b.N; i++ {
-				if _, err := wl.KernelMatrix(f.sample, opt, 0); err != nil {
+				if _, err := kernelMatrix(f.sample, opt, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -351,30 +366,6 @@ func BenchmarkBaselineHierarchical(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cluster.Hierarchical(dist, 5, cluster.AverageLinkage); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIndexQuery measures a nearest-neighbour lookup against a
-// 100-job similarity index (the similarity-search application).
-func BenchmarkIndexQuery(b *testing.B) {
-	f := getFixture(b)
-	ix, err := wl.NewIndex(wl.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i, g := range f.sample {
-		c := g.Clone()
-		c.JobID = fmt.Sprintf("job-%d", i)
-		if err := ix.Add(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-	query := f.sample[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ix.Query(query, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -533,7 +524,7 @@ func BenchmarkInstrumentedWL(b *testing.B) {
 	kernel := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sp := reg.StartSpan("bench.wl.kernel")
-			if _, err := wl.KernelMatrix(f.sample, wl.DefaultOptions(), 0); err != nil {
+			if _, err := kernelMatrix(f.sample, wl.DefaultOptions(), 0); err != nil {
 				b.Fatal(err)
 			}
 			sp.End()

@@ -39,6 +39,7 @@ import (
 	"jobgraph/internal/dag"
 	"jobgraph/internal/features"
 	"jobgraph/internal/ged"
+	"jobgraph/internal/linalg"
 	"jobgraph/internal/pattern"
 	"jobgraph/internal/report"
 	"jobgraph/internal/resource"
@@ -275,14 +276,28 @@ func runE8E9(an *core.Analysis, outDir string) {
 	fmt.Println()
 }
 
+// kernelMatrix embeds graphs in one dictionary and returns their dense
+// normalized similarity matrix.
+func kernelMatrix(graphs []*dag.Graph, opt wl.Options, workers int) (*linalg.Matrix, error) {
+	vecs, _, err := wl.Features(graphs, opt)
+	if err != nil {
+		return nil, err
+	}
+	m, err := wl.SymMatrixFromCompactOpts(wl.CompactAll(vecs), wl.MatrixOptions{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	return m.Dense(), nil
+}
+
 func runA1(an *core.Analysis) {
 	fmt.Println("== A1: WL iteration-depth ablation ==")
 	// Compare the similarity matrix at increasing h against h=5.
 	graphs := an.Graphs
-	ref, err := wl.KernelMatrix(graphs, wl.Options{Iterations: 5, UseTypeLabels: true}, 0)
+	ref, err := kernelMatrix(graphs, wl.Options{Iterations: 5, UseTypeLabels: true}, 0)
 	must(err)
 	for h := 0; h <= 4; h++ {
-		m, err := wl.KernelMatrix(graphs, wl.Options{Iterations: h, UseTypeLabels: true}, 0)
+		m, err := kernelMatrix(graphs, wl.Options{Iterations: h, UseTypeLabels: true}, 0)
 		must(err)
 		var diff, cnt float64
 		for i := range m.Data {
@@ -341,7 +356,7 @@ func runA2(an *core.Analysis) {
 	bpTime := time.Since(start)
 
 	start = time.Now()
-	_, err := wl.KernelMatrix(small, wl.DefaultOptions(), 1)
+	_, err := kernelMatrix(small, wl.DefaultOptions(), 1)
 	must(err)
 	wlTime := time.Since(start)
 	fmt.Printf("%d jobs (size<=7), %d pairs:\n", len(small), pairs)
@@ -356,7 +371,7 @@ func runA3(an *core.Analysis) {
 	fmt.Println("== A3: kernel matrix parallel fan-out ==")
 	for _, w := range []int{1, 2, 4, 8} {
 		start := time.Now()
-		_, err := wl.KernelMatrix(an.Graphs, wl.DefaultOptions(), w)
+		_, err := kernelMatrix(an.Graphs, wl.DefaultOptions(), w)
 		must(err)
 		fmt.Printf("workers=%d: %v\n", w, time.Since(start))
 	}
@@ -444,9 +459,9 @@ func runA5(cands []sampling.Candidate, seed int64) {
 
 func runA6(an *core.Analysis) {
 	fmt.Println("== A6: subtree vs shortest-path base kernel ==")
-	sub, err := wl.KernelMatrix(an.Graphs, wl.Options{Iterations: 3, UseTypeLabels: true, Base: wl.BaseSubtree}, 0)
+	sub, err := kernelMatrix(an.Graphs, wl.Options{Iterations: 3, UseTypeLabels: true, Base: wl.BaseSubtree}, 0)
 	must(err)
-	sp, err := wl.KernelMatrix(an.Graphs, wl.Options{Iterations: 3, UseTypeLabels: true, Base: wl.BaseShortestPath}, 0)
+	sp, err := kernelMatrix(an.Graphs, wl.Options{Iterations: 3, UseTypeLabels: true, Base: wl.BaseShortestPath}, 0)
 	must(err)
 	var diff, cnt float64
 	for i := range sub.Data {
@@ -496,8 +511,9 @@ func runA8(an *core.Analysis) {
 		must(err)
 		hashed, err := wl.HashedFeatures(an.Graphs, opt, buckets, 0)
 		must(err)
-		hm, err := wl.MatrixFromVectors(hashed, 0)
+		packed, err := wl.SymMatrixFromCompactOpts(wl.CompactAll(hashed), wl.MatrixOptions{})
 		must(err)
+		hm := packed.Dense()
 		var diff, cnt float64
 		for i := range hm.Data {
 			d := hm.Data[i] - an.Similarity.Data[i]

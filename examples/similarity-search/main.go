@@ -1,5 +1,5 @@
-// Similarity-search: index a job population with WL feature vectors and
-// answer nearest-neighbour queries — "which existing jobs look like this
+// Similarity-search: index a job population with hashed WL feature
+// vectors in an LSH index and answer nearest-neighbour queries — "which existing jobs look like this
 // incoming job?", the building block for the paper's scheduling use
 // case (predicting resource demands of new jobs from similar old ones).
 package main
@@ -27,15 +27,15 @@ func main() {
 	corpus := sampling.Graphs(sampling.SampleDiverse(cands, 500, 1))
 
 	// Build a persistent similarity index, round-trip it through its
-	// JSON form (as a long-lived service would), and query the loaded
+	// saved form (as a long-lived service would), and query the loaded
 	// copy.
-	built, err := wl.NewIndex(wl.DefaultOptions())
+	built, err := wl.NewANNIndex(wl.DefaultOptions(), wl.DefaultSketchOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
 	byID := make(map[string]*dag.Graph, len(corpus))
 	for _, g := range corpus {
-		if err := built.Add(g); err != nil {
+		if err := built.AddGraph(g); err != nil {
 			log.Fatal(err)
 		}
 		byID[g.JobID] = g
@@ -44,7 +44,7 @@ func main() {
 	if err := built.Save(&stored); err != nil {
 		log.Fatal(err)
 	}
-	index, err := wl.LoadIndex(&stored)
+	index, err := wl.LoadANNIndex(&stored)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,11 +69,14 @@ func main() {
 	}
 	fmt.Printf("query job:\n%s\n", query.ASCII())
 
-	hits, err := index.Query(query, 5)
+	hits, err := index.QueryGraph(query, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("top 5 most similar corpus jobs:")
+	if len(hits) == 0 {
+		log.Fatal("no indexed job shares an LSH bucket with the query")
+	}
+	fmt.Printf("top %d most similar corpus jobs:\n", len(hits))
 	for _, h := range hits {
 		g := byID[h.JobID]
 		depth, _ := g.Depth()

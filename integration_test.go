@@ -163,7 +163,7 @@ func TestChooseKFindsPaperK(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphs := sampling.Graphs(sampling.SampleDiverse(cands, 100, 77))
-	sim, err := wl.KernelMatrix(graphs, wl.DefaultOptions(), 0)
+	sim, err := kernelMatrix(graphs, wl.DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,13 @@ type echoFlush struct {
 	batches [][]*op
 	delay   time.Duration
 	block   chan struct{} // when non-nil, flush waits for a receive
+	entered int           // flush calls begun, counted before blocking
 }
 
 func (e *echoFlush) flush(batch []*op) {
+	e.mu.Lock()
+	e.entered++
+	e.mu.Unlock()
 	if e.block != nil {
 		<-e.block
 	}
@@ -32,6 +36,12 @@ func (e *echoFlush) flush(batch []*op) {
 	for _, o := range batch {
 		o.respond(o.req, nil)
 	}
+}
+
+func (e *echoFlush) enteredCount() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.entered
 }
 
 func (e *echoFlush) batchCount() int {
@@ -102,7 +112,10 @@ func TestBatcherQueueFull(t *testing.T) {
 		results <- err
 	}()
 	// The loop has picked the op up (queue empty again) and is wedged.
-	waitFor(t, "flush to wedge", func() bool { return len(b.queue) == 0 && e.batchCount() == 0 })
+	// Waiting on the flush having begun, not just an empty queue: the
+	// queue is also empty before the wedge op is submitted, and three
+	// racing submits would overflow the depth-2 queue.
+	waitFor(t, "flush to wedge", func() bool { return e.enteredCount() == 1 && len(b.queue) == 0 })
 
 	for i := 0; i < 2; i++ {
 		go func() {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"jobgraph/internal/obs"
@@ -372,14 +373,17 @@ var (
 )
 
 // countingReader counts the bytes the decoder pulled off the stream.
+// The count is atomic: after an early abort the parallel path returns
+// while its splitter goroutine may still be inside Read (it can be
+// blocked on a stalled source, so it is not joined).
 type countingReader struct {
 	r io.Reader
-	n int64
+	n atomic.Int64
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
-	c.n += int64(n)
+	c.n.Add(int64(n))
 	return n, err
 }
 
@@ -402,7 +406,7 @@ func readTable[T any](r io.Reader, spec tableSpec[T], opt ReadOptions, fn func(T
 	}
 	if sec := time.Since(start).Seconds(); sec > 0 {
 		obsIngestRowsPerSec.Set(int64(float64(stats.Rows+stats.BadRows) / sec))
-		obsIngestMBPerSec.Set(int64(float64(cnt.n) / (1 << 20) / sec))
+		obsIngestMBPerSec.Set(int64(float64(cnt.n.Load()) / (1 << 20) / sec))
 	}
 	return stats, err
 }

@@ -76,9 +76,10 @@ func TestHashedEmbedWarmAllocs(t *testing.T) {
 	g := randomDAG(rand.New(rand.NewSource(5)), "hashed-alloc", 40)
 	opt := DefaultOptions()
 	e := newHashedEmbedder(64)
-	e.embed(g, opt) // warm the token caches
+	e.embedInto(make(Vector), g, opt) // warm the token caches
 	allocs := testing.AllocsPerRun(100, func() {
-		vec := e.embed(g, opt)
+		vec := make(Vector)
+		e.embedInto(vec, g, opt)
 		if len(vec) == 0 {
 			t.Fatal("empty hashed vector")
 		}

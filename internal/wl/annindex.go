@@ -1,18 +1,17 @@
 // ANNIndex: sublinear top-k similarity over millions of job DAGs.
 //
-// The exact Index (index.go) answers a query by scoring every indexed
-// vector — O(n) per query, O(n²) for a kernel matrix — which is why the
-// paper samples 100 jobs. ANNIndex breaks that ceiling with the
-// standard sketch-and-hash construction: each job is embedded as a
-// hashed WL feature vector (hashed.go, no shared dictionary), sketched
-// into a MinHash signature (sketch.go), and inserted into banded LSH
-// tables. A query probes one LSH bucket per band, unions the posting
-// lists into a candidate set whose size tracks the corpus's local
-// density rather than n, and re-ranks the candidates by exact cosine
-// over the stored sparse vectors. Recall against the exact kernel is
-// tunable through SketchOptions (more bands, shorter rows → more
-// candidates → higher recall) and measured by the accuracy-vs-speed
-// gate in CI.
+// An exact search scores every stored vector — O(n) per query, O(n²)
+// for a kernel matrix — which is why the paper samples 100 jobs.
+// ANNIndex breaks that ceiling with the standard sketch-and-hash
+// construction: each job is embedded as a hashed WL feature vector
+// (hashed.go, no shared dictionary), sketched into a MinHash signature
+// (sketch.go), and inserted into banded LSH tables. A query probes one
+// LSH bucket per band, unions the posting lists into a candidate set
+// whose size tracks the corpus's local density rather than n, and
+// re-ranks the candidates by exact cosine over the stored sparse
+// vectors. Recall against the exact kernel is tunable through
+// SketchOptions (more bands, shorter rows → more candidates → higher
+// recall) and measured by the accuracy-vs-speed gate in CI.
 //
 // The index is immutable-after-Build in spirit: Add appends, the first
 // Query (or an explicit Build) freezes the LSH tables into sorted
@@ -76,6 +75,12 @@ type ANNIndex struct {
 	built    bool
 	bandKeys [][]uint64
 	bandIDs  [][]int32
+}
+
+// Hit is one nearest-neighbour result.
+type Hit struct {
+	JobID      string
+	Similarity float64
 }
 
 // NewANNIndex returns an empty index. wlOpts are the embedding options

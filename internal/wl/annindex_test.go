@@ -294,3 +294,63 @@ func TestANNEmptyIndexQuery(t *testing.T) {
 		t.Fatalf("hits on empty index: %v", hits)
 	}
 }
+
+func TestIndexQueryValidation(t *testing.T) {
+	ix, graphs := annCorpus(t, 5, SketchOptions{Hashes: 64, Bands: 64, Buckets: 1 << 16, Seed: 3})
+	qv := hashedEmbed(graphs[0], ix.WLOptions(), ix.Options().Buckets)
+	if _, err := ix.Query(qv, 0); err == nil {
+		t.Fatal("k=0 accepted")
+	}
+	if _, err := ix.QueryGraph(graphs[0], -1); err == nil {
+		t.Fatal("k=-1 accepted")
+	}
+	hits, err := ix.Query(qv, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) == 0 || len(hits) > ix.Len() {
+		t.Fatalf("over-request returned %d hits from %d jobs", len(hits), ix.Len())
+	}
+}
+
+func TestNewIndexRejectsBadOptions(t *testing.T) {
+	if _, err := NewANNIndex(Options{Iterations: -2}, SketchOptions{}); err == nil {
+		t.Fatal("bad WL options accepted")
+	}
+	if _, err := NewANNIndex(DefaultOptions(), SketchOptions{Hashes: 10, Bands: 3}); err == nil {
+		t.Fatal("bands not dividing hashes accepted")
+	}
+}
+
+// TestLoadIndexRejectsCorrupt feeds the JSON loader wire forms that
+// break each invariant fromWire checks.
+func TestLoadIndexRejectsCorrupt(t *testing.T) {
+	const (
+		wlOpts = `"wl":{"Iterations":1,"UseTypeLabels":true,"Undirected":false,"Base":0}`
+		sketch = `"sketch":{"Buckets":16,"Hashes":2,"Bands":1,"Seed":1}`
+	)
+	wire := func(schema, wlField, jobs, keys, vals, sigs string) string {
+		return fmt.Sprintf(`{"schema":%q,%s,%s,"jobs":%s,"keys":%s,"vals":%s,"sigs":%s}`,
+			schema, wlField, sketch, jobs, keys, vals, sigs)
+	}
+	cases := map[string]string{
+		"not json":           "{{{",
+		"wrong schema":       wire("jobgraph-annindex/v0", wlOpts, `["a"]`, `[[1]]`, `[[1]]`, `[[1,2]]`),
+		"bad wl option":      wire(ANNIndexSchema, `"wl":{"Iterations":-1}`, `[]`, `[]`, `[]`, `[]`),
+		"job/vector count":   wire(ANNIndexSchema, wlOpts, `["a"]`, `[]`, `[]`, `[]`),
+		"duplicate job":      wire(ANNIndexSchema, wlOpts, `["a","a"]`, `[[1],[1]]`, `[[1],[1]]`, `[[1,2],[1,2]]`),
+		"keys/vals mismatch": wire(ANNIndexSchema, wlOpts, `["a"]`, `[[1,2]]`, `[[1]]`, `[[1,2]]`),
+		"sketch width":       wire(ANNIndexSchema, wlOpts, `["a"]`, `[[1]]`, `[[1]]`, `[[1]]`),
+		"keys not ascending": wire(ANNIndexSchema, wlOpts, `["a"]`, `[[2,1]]`, `[[1,1]]`, `[[1,2]]`),
+		"negative count":     wire(ANNIndexSchema, wlOpts, `["a"]`, `[[1]]`, `[[-1]]`, `[[1,2]]`),
+	}
+	valid := wire(ANNIndexSchema, wlOpts, `["a"]`, `[[1]]`, `[[1]]`, `[[1,2]]`)
+	if _, err := LoadANNIndexJSON(strings.NewReader(valid)); err != nil {
+		t.Fatalf("valid wire rejected: %v", err)
+	}
+	for name, data := range cases {
+		if _, err := LoadANNIndexJSON(strings.NewReader(data)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

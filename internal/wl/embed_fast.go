@@ -9,34 +9,30 @@ import (
 	"jobgraph/internal/taskname"
 )
 
-// This file is the zero-allocation refinement path for the subtree base
-// kernel. The legacy string-labelled loop in wl.go rebuilt every label
-// map, label string, and neighbor slice on every round of every graph;
-// here a node's label is an int32 code into small side tables, and all
-// scratch (code arrays, neighbor form lists, the composition buffer) is
-// owned by an embedder that lives as long as its dictionary, so a warm
-// embedder refines an already-seen graph shape without allocating at
-// all (asserted by TestEmbedIntoZeroAlloc).
+// This file is the package's one WL refinement loop, shared by every
+// base kernel and every label space. A node's label is an int32 index
+// into the embedder's token table, and all scratch (token arrays,
+// neighbor form lists, the composition buffer, shortest-path triples)
+// is owned by an embedder that lives as long as its label space, so a
+// warm embedder refines an already-seen graph shape without allocating
+// at all (asserted by TestEmbedIntoZeroAlloc).
 //
-// The observable outputs are unchanged: label strings interned into the
-// dictionary are byte-identical to the legacy refineLabel format, the
-// per-round phase order (compress all nodes, then record) is preserved,
-// and node order is ascending NodeID exactly as g.NodeIDs() yields it.
-// Only dictionary id *values* can differ from the historical
-// implementation, which never promised them: its compression loop
-// iterated a Go map, so id assignment was already run-to-run
-// nondeterministic. This path interns in node-position order instead,
-// making vectors deterministic — kernel values are invariant either way
-// because every dot product is preserved under a consistent relabeling.
-
-// Label code space. A node's current label is an int32 ref:
+// Each round composes every node's refined label as the bytes
+// "own(P:pred,…|S:succ,…)" (or "own(nbr,…)" undirected), each multiset
+// sorted bytewise, compresses it to a token, and then records the
+// round's features in ascending position (= ascending NodeID) order:
 //
-//	ref < 0          frozen-miss hashed label; index -(ref+1) into unseen tables
-//	0 <= ref < 16    initial label; index into initForms/initLabels
-//	ref >= 16        compressed token "#<id>" with id = ref-tokenBase
-const tokenBase = 16
+//	subtree        each node's token
+//	edge           "N|<u>" per node, "E|<u>|<v>" per edge u→v
+//	shortest-path  "SP|<u>|<v>|<d>" per directed shortest path, u==v at d=0
+//
+// The label space decides compression and the vector key a recorded
+// label counts into (see fastEmbedder). The reference oracle in
+// oracle_test.go pins the label strings, kernel values and hashed
+// vectors to the loops this one replaced.
 
-// Initial-label table indices (iteration-0 labels).
+// Initial-label token indices (iteration-0 labels). Every token table
+// starts with these, in this order.
 const (
 	initMap = iota
 	initReduce
@@ -46,10 +42,7 @@ const (
 	numInitLabels
 )
 
-var (
-	initForms  = [numInitLabels][]byte{[]byte("M"), []byte("R"), []byte("J"), []byte("?"), []byte("·")}
-	initLabels = [numInitLabels]string{"M", "R", "J", "?", "·"}
-)
+var initLabels = [numInitLabels]string{"M", "R", "J", "?", "·"}
 
 // Sentinels for lazily resolved record keys.
 const (
@@ -57,44 +50,69 @@ const (
 	keyUnresolved int32 = -2
 )
 
-// fastEmbedder owns the per-labeler refinement state. Exactly one of
-// dict/froz is set; the embedder must only ever be used with that
-// labeler because every cached key below is an id in its space.
+// token is one label a node can carry into the next round: its byte
+// form inside composed labels, and the vector key a subtree record of
+// it counts into (resolved on first record).
+type token struct {
+	form []byte
+	key  int32
+}
+
+// spPath is one directed shortest path: positions u, v and distance d.
+type spPath struct{ u, v, d int32 }
+
+// fastEmbedder owns the refinement state of one label space; exactly
+// one of dict, froz and buckets is set:
+//
+//	dict     interns every label; a refined label compresses to "#<id>"
+//	froz     looks labels up; a miss compresses to "?%016x" of its
+//	         FNV-1a hash and records nothing
+//	buckets  keys every label by its FNV-1a hash mod buckets; a refined
+//	         label compresses to "#<iteration>/<bucket>"
+//
+// Every cached form and key is specific to that space, so an embedder
+// is only ever used with the space it was made for.
 type fastEmbedder struct {
-	dict *Dictionary
-	froz *Frozen
+	dict    *Dictionary
+	froz    *Frozen
+	buckets int
 
-	codes []int32  // current label ref per node position
-	next  []int32  // next round's refs (swapped, never reallocated)
+	codes []int32  // current token per node position
+	next  []int32  // next round's tokens (swapped, never reallocated)
 	forms [][]byte // neighbor byte forms, sorted per multiset
-	buf   []byte   // composition scratch for one refined label
+	buf   []byte   // composition scratch for one label
+	paths []spPath // shortest-path base: this graph's paths
+	dist  []int32  // BFS scratch: distance from the source, -1 unseen
+	queue []int32  // BFS scratch
 
-	// initKey[i] is the record id of initLabels[i] under the labeler.
-	initKey [numInitLabels]int32
-
-	// tokForm[id] is the "#<id>" byte form; tokKey[id] its record id.
-	// Forms depend only on the id value, keys on the labeler.
-	tokForm [][]byte
-	tokKey  []int32
-
-	// Frozen-miss labels compress to "?%016x" of their FNV-1a hash.
-	unseenForm [][]byte
-	unseenKey  []int32
-	unseenRef  map[uint64]int32
+	toks []token
+	// byID[v] is the token of "#<v>" under dict or froz; 0 means not
+	// yet made (token 0 is an initial label, never a compressed one).
+	byID []int32
+	// byHash holds the tokens made without a dictionary id: frozen
+	// misses keyed by content hash, hashed tokens by iteration<<32|bucket.
+	byHash map[uint64]int32
 }
 
 func newFastEmbedder(d *Dictionary, f *Frozen) *fastEmbedder {
-	e := &fastEmbedder{dict: d, froz: f}
-	for i := range e.initKey {
-		e.initKey[i] = keyUnresolved
+	return (&fastEmbedder{dict: d, froz: f}).withInitTokens()
+}
+
+func newHashedEmbedder(buckets int) *fastEmbedder {
+	return (&fastEmbedder{buckets: buckets}).withInitTokens()
+}
+
+func (e *fastEmbedder) withInitTokens() *fastEmbedder {
+	e.toks = make([]token, numInitLabels)
+	for i, l := range initLabels {
+		e.toks[i] = token{form: []byte(l), key: keyUnresolved}
 	}
 	return e
 }
 
-// embedInto accumulates g's subtree feature counts into vec. opt must
-// already be validated and opt.Base must be BaseSubtree. A warm
-// embedder (same labeler, all labels seen before) performs no
-// allocations beyond growth of vec itself.
+// embedInto accumulates g's feature counts into vec. opt must already
+// be validated. A warm embedder (same label space, all labels seen
+// before) performs no allocations beyond growth of vec itself.
 func (e *fastEmbedder) embedInto(vec Vector, g *dag.Graph, opt Options) {
 	n := g.NumNodes()
 	if n == 0 {
@@ -102,21 +120,28 @@ func (e *fastEmbedder) embedInto(vec Vector, g *dag.Graph, opt Options) {
 	}
 	e.codes = resizeRefs(e.codes, n)
 	e.next = resizeRefs(e.next, n)
-
 	for p := 0; p < n; p++ {
 		e.codes[p] = initRef(g.NodeAt(p).Type, opt.UseTypeLabels)
 	}
-	e.record(vec, n)
+	if opt.Base == BaseShortestPath {
+		// Distances are label-independent: compute once, record under
+		// each round's labels.
+		e.shortestPaths(g)
+	}
+	e.record(vec, g, opt.Base)
 
 	for it := 0; it < opt.Iterations; it++ {
 		for p := 0; p < n; p++ {
 			e.compose(g, p, opt.Undirected)
-			e.next[p] = e.compress()
+			e.next[p] = e.compress(it)
 		}
 		e.codes, e.next = e.next, e.codes
-		e.record(vec, n)
+		e.record(vec, g, opt.Base)
 	}
 
+	if e.buckets > 0 {
+		return // the kernel tallies count exact embeddings only
+	}
 	obsEmbeds.Add(1)
 	obsRefineRounds.Add(int64(opt.Iterations))
 	obsVectorSize.Observe(float64(len(vec)))
@@ -141,26 +166,14 @@ func initRef(t taskname.Type, useTypes bool) int32 {
 	}
 }
 
-// form returns the byte form of a label ref, as it appears inside a
-// composed refined label.
-func (e *fastEmbedder) form(ref int32) []byte {
-	switch {
-	case ref < 0:
-		return e.unseenForm[-(ref + 1)]
-	case ref < tokenBase:
-		return initForms[ref]
-	default:
-		return e.tokForm[ref-tokenBase]
-	}
-}
+// form returns the byte form of node position p's current label.
+func (e *fastEmbedder) form(p int32) []byte { return e.toks[e.codes[p]].form }
 
-// compose builds node p's refined label into e.buf, byte-identical to
-// the legacy refineLabel: own label, then "(P:pred,…|S:succ,…)" with
-// each multiset sorted lexicographically (bytes.Compare orders byte
-// slices exactly as sort.Strings ordered the legacy label strings).
+// compose builds node p's refined label into e.buf: own label, then
+// "(P:pred,…|S:succ,…)" with each multiset sorted bytewise.
 func (e *fastEmbedder) compose(g *dag.Graph, p int, undirected bool) {
 	preds, succs := g.PredPos(p), g.SuccPos(p)
-	buf := append(e.buf[:0], e.form(e.codes[p])...)
+	buf := append(e.buf[:0], e.form(int32(p))...)
 	if undirected {
 		f := e.gather(preds, nil)
 		f = e.gather(succs, f)
@@ -188,7 +201,7 @@ func (e *fastEmbedder) gather(nbrs []int32, dst [][]byte) [][]byte {
 		dst = e.forms[:0]
 	}
 	for _, q := range nbrs {
-		dst = append(dst, e.form(e.codes[q]))
+		dst = append(dst, e.form(q))
 	}
 	e.forms = dst
 	return dst
@@ -204,105 +217,135 @@ func joinForms(buf []byte, forms [][]byte) []byte {
 	return buf
 }
 
-// compress resolves the composed label in e.buf to its next-round ref:
-// a dictionary interns unseen labels, a frozen view hashes them.
-func (e *fastEmbedder) compress() int32 {
-	if e.dict != nil {
-		v, ok := e.dict.ids[string(e.buf)]
-		if !ok {
-			v = len(e.dict.ids)
-			e.dict.ids[string(e.buf)] = v
+// compress resolves the refined label in e.buf, composed in round it,
+// to the token the node carries into the next round.
+func (e *fastEmbedder) compress(it int) int32 {
+	switch {
+	case e.dict != nil:
+		return e.idToken(e.dict.intern(e.buf))
+	case e.froz != nil:
+		if v, ok := e.froz.ids[string(e.buf)]; ok {
+			return e.idToken(v)
 		}
-		return e.tokenRef(v)
+		h := fnvSum(e.buf)
+		if ref, ok := e.byHash[h]; ok {
+			return ref
+		}
+		return e.hashToken(h, appendHashLabel(make([]byte, 0, 17), h))
+	default:
+		b := fnvSum(e.buf) % uint64(e.buckets)
+		k := uint64(it)<<32 | b // buckets fit 32 bits, like every vector key
+		if ref, ok := e.byHash[k]; ok {
+			return ref
+		}
+		form := append(strconv.AppendInt([]byte{'#'}, int64(it), 10), '/')
+		return e.hashToken(k, strconv.AppendUint(form, b, 10))
 	}
-	if v, ok := e.froz.ids[string(e.buf)]; ok {
-		return e.tokenRef(v)
-	}
-	return e.hashedRef()
 }
 
-// tokenRef returns the ref for compressed token "#<v>", materializing
-// its byte form on first use.
-func (e *fastEmbedder) tokenRef(v int) int32 {
-	if grow := v + 1 - len(e.tokForm); grow > 0 {
-		e.tokForm = append(e.tokForm, make([][]byte, grow)...)
-		for len(e.tokKey) < len(e.tokForm) {
-			e.tokKey = append(e.tokKey, keyUnresolved)
-		}
+// idToken returns the token of "#<v>", making it on first use.
+func (e *fastEmbedder) idToken(v int) int32 {
+	if grow := v + 1 - len(e.byID); grow > 0 {
+		e.byID = append(e.byID, make([]int32, grow)...)
 	}
-	if e.tokForm[v] == nil {
-		e.tokForm[v] = strconv.AppendInt([]byte{'#'}, int64(v), 10)
+	if e.byID[v] == 0 {
+		e.byID[v] = int32(len(e.toks))
+		e.toks = append(e.toks, token{form: strconv.AppendInt([]byte{'#'}, int64(v), 10), key: keyUnresolved})
 	}
-	return tokenBase + int32(v)
+	return e.byID[v]
 }
 
-// hashedRef compresses the frozen-miss label in e.buf to a "?%016x"
-// form, deduplicated by content hash.
-func (e *fastEmbedder) hashedRef() int32 {
-	h := fnvSum(e.buf)
-	if ref, ok := e.unseenRef[h]; ok {
-		return ref
+// hashToken makes the token with the given form under byHash key k.
+func (e *fastEmbedder) hashToken(k uint64, form []byte) int32 {
+	ref := int32(len(e.toks))
+	e.toks = append(e.toks, token{form: form, key: keyUnresolved})
+	if e.byHash == nil {
+		e.byHash = make(map[uint64]int32)
 	}
-	form := appendHashLabel(make([]byte, 0, 17), h)
-	key := keyAbsent
-	if v, ok := e.froz.ids[string(form)]; ok {
-		key = int32(v)
-	}
-	ref := -int32(len(e.unseenForm)) - 1
-	e.unseenForm = append(e.unseenForm, form)
-	e.unseenKey = append(e.unseenKey, key)
-	if e.unseenRef == nil {
-		e.unseenRef = make(map[uint64]int32)
-	}
-	e.unseenRef[h] = ref
+	e.byHash[k] = ref
 	return ref
 }
 
-// record adds the current round's label counts to vec, walking nodes in
-// ascending position (= ascending NodeID) order so dictionary interning
-// of compressed tokens stays deterministic.
-func (e *fastEmbedder) record(vec Vector, n int) {
-	for p := 0; p < n; p++ {
-		ref := e.codes[p]
-		var key int32
-		switch {
-		case ref < 0:
-			key = e.unseenKey[-(ref + 1)]
-		case ref < tokenBase:
-			key = e.initKeyOf(ref)
-		default:
-			key = e.tokKeyOf(ref - tokenBase)
+// record adds the current round's features to vec.
+func (e *fastEmbedder) record(vec Vector, g *dag.Graph, base BaseKernel) {
+	switch base {
+	case BaseSubtree:
+		for _, ref := range e.codes {
+			t := &e.toks[ref]
+			if t.key == keyUnresolved {
+				t.key = e.key(t.form)
+			}
+			if t.key >= 0 {
+				vec[int(t.key)]++
+			}
 		}
-		if key >= 0 {
-			vec[int(key)]++
+	case BaseEdge:
+		for p := range e.codes {
+			e.buf = append(append(e.buf[:0], "N|"...), e.form(int32(p))...)
+			e.count(vec)
+			for _, q := range g.SuccPos(p) {
+				buf := append(append(e.buf[:0], "E|"...), e.form(int32(p))...)
+				e.buf = append(append(buf, '|'), e.form(q)...)
+				e.count(vec)
+			}
+		}
+	case BaseShortestPath:
+		for _, sp := range e.paths {
+			buf := append(append(e.buf[:0], "SP|"...), e.form(sp.u)...)
+			buf = append(append(buf, '|'), e.form(sp.v)...)
+			e.buf = strconv.AppendInt(append(buf, '|'), int64(sp.d), 10)
+			e.count(vec)
 		}
 	}
 }
 
-func (e *fastEmbedder) initKeyOf(i int32) int32 {
-	if e.initKey[i] == keyUnresolved {
-		e.initKey[i] = e.resolveKey(initLabels[i])
+// count adds one occurrence of the label in e.buf to vec.
+func (e *fastEmbedder) count(vec Vector) {
+	if k := e.key(e.buf); k >= 0 {
+		vec[int(k)]++
 	}
-	return e.initKey[i]
 }
 
-func (e *fastEmbedder) tokKeyOf(v int32) int32 {
-	if e.tokKey[v] == keyUnresolved {
-		e.tokKey[v] = e.resolveKey(string(e.tokForm[v]))
+// key returns the vector key of a recorded label, or keyAbsent when a
+// frozen space does not hold it.
+func (e *fastEmbedder) key(label []byte) int32 {
+	switch {
+	case e.dict != nil:
+		return int32(e.dict.intern(label))
+	case e.froz != nil:
+		if v, ok := e.froz.ids[string(label)]; ok {
+			return int32(v)
+		}
+		return keyAbsent
+	default:
+		return int32(fnvSum(label) % uint64(e.buckets))
 	}
-	return e.tokKey[v]
 }
 
-// resolveKey interns (dictionary) or looks up (frozen) a record label,
-// mirroring what the legacy loop's record() did with ld.labelID.
-func (e *fastEmbedder) resolveKey(label string) int32 {
-	if e.dict != nil {
-		return int32(e.dict.id(label))
+// shortestPaths fills e.paths with every directed shortest path of g by
+// a BFS over successor positions from each source in ascending order.
+func (e *fastEmbedder) shortestPaths(g *dag.Graph) {
+	n := g.NumNodes()
+	e.paths = e.paths[:0]
+	e.dist = resizeRefs(e.dist, n)
+	for src := int32(0); src < int32(n); src++ {
+		for i := range e.dist {
+			e.dist[i] = -1
+		}
+		e.dist[src] = 0
+		queue := append(e.queue[:0], src)
+		for h := 0; h < len(queue); h++ {
+			u := queue[h]
+			e.paths = append(e.paths, spPath{u: src, v: u, d: e.dist[u]})
+			for _, v := range g.SuccPos(int(u)) {
+				if e.dist[v] < 0 {
+					e.dist[v] = e.dist[u] + 1
+					queue = append(queue, v)
+				}
+			}
+		}
+		e.queue = queue
 	}
-	if v, ok := e.froz.ids[label]; ok {
-		return int32(v)
-	}
-	return keyAbsent
 }
 
 func resizeRefs(s []int32, n int) []int32 {
@@ -326,7 +369,7 @@ func fnvSum(b []byte) uint64 {
 	return h
 }
 
-// appendHashLabel appends the legacy hashLabel form "?%016x" of h.
+// appendHashLabel appends the frozen-miss form "?%016x" of h.
 func appendHashLabel(dst []byte, h uint64) []byte {
 	const hexdigits = "0123456789abcdef"
 	dst = append(dst, '?')

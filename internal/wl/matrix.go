@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 
-	"jobgraph/internal/dag"
 	"jobgraph/internal/linalg"
 	"jobgraph/internal/obs"
 )
@@ -26,76 +25,24 @@ type MatrixOptions struct {
 	// OnRow, when non-nil, is invoked serially after each completed row
 	// with the number of rows finished so far and the total. Returning a
 	// non-nil error cancels the computation: in-flight rows finish, all
-	// workers drain, and MatrixFromVectorsOpts returns a nil matrix
+	// workers drain, and SymMatrixFromCompactOpts returns a nil matrix
 	// wrapping the callback's error. This is the hook for progress
 	// reporting, deadlines, and cooperative cancellation.
 	OnRow func(done, total int) error
 }
 
-// KernelMatrix computes the full normalized similarity matrix over the
-// given job graphs — the data behind the paper's Figure 7 heat map.
-// Entry (i, j) is Similarity(φ(Gi), φ(Gj)); the matrix is symmetric with
-// unit diagonal.
-//
-// Feature extraction runs once, sequentially, against a shared label
-// dictionary (interning must be deterministic); the O(n²) pairwise dot
-// products are then fanned out across `workers` goroutines, each owning
-// a contiguous band of rows. workers <= 0 selects GOMAXPROCS.
-func KernelMatrix(graphs []*dag.Graph, opt Options, workers int) (*linalg.Matrix, error) {
-	if len(graphs) == 0 {
-		return nil, fmt.Errorf("wl: kernel matrix over zero graphs")
-	}
-	vecs, _, err := Features(graphs, opt)
-	if err != nil {
-		return nil, err
-	}
-	return MatrixFromVectors(vecs, workers)
-}
-
-// MatrixFromVectors computes the normalized similarity matrix from
-// pre-computed feature vectors (they must share one dictionary).
-func MatrixFromVectors(vecs []Vector, workers int) (*linalg.Matrix, error) {
-	return MatrixFromVectorsOpts(vecs, MatrixOptions{Workers: workers})
-}
-
-// MatrixFromVectorsOpts is MatrixFromVectors with progress reporting and
-// cooperative cancellation (see MatrixOptions.OnRow).
-func MatrixFromVectorsOpts(vecs []Vector, opt MatrixOptions) (*linalg.Matrix, error) {
-	n := len(vecs)
-	if n == 0 {
-		return nil, fmt.Errorf("wl: kernel matrix over zero vectors")
-	}
-	m := linalg.NewMatrix(n, n)
-	if err := kernelInto(vecs, opt, func(i, j int, s float64) {
-		m.Set(i, j, s)
-		m.Set(j, i, s)
-	}); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// SymMatrixFromVectorsOpts computes the same normalized kernel into a
-// packed symmetric matrix — half the memory of the dense form, which is
-// what the pipeline caches and ships between stages. Call Dense on the
-// result where a full n² layout is required.
-func SymMatrixFromVectorsOpts(vecs []Vector, opt MatrixOptions) (*linalg.SymMatrix, error) {
-	n := len(vecs)
-	if n == 0 {
-		return nil, fmt.Errorf("wl: kernel matrix over zero vectors")
-	}
-	m := linalg.NewSymMatrix(n)
-	if err := kernelInto(vecs, opt, m.Set); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// SymMatrixFromCompactOpts computes the normalized kernel over compact
-// vectors: every pairwise product is a linear merge-join over sorted
-// key arrays instead of a hash-map walk, and the result is packed. The
-// values are bit-identical to the map-vector paths — counts are exact
+// SymMatrixFromCompactOpts computes the normalized similarity matrix
+// over feature vectors that share one label space — the data behind
+// the paper's Figure 7 heat map. Entry (i, j) is Similarity(φ(Gi),
+// φ(Gj)); the matrix is symmetric with unit diagonal, packed (call
+// Dense where a full n² layout is required). Every pairwise product is
+// a linear merge-join over sorted key arrays, and the values are
+// bit-identical to Similarity over the map vectors: counts are exact
 // integers, so summation order cannot change a kernel value.
+//
+// The O(n²) pairs are fanned out across opt.Workers goroutines. Workers
+// own disjoint rows, so each upper-triangle cell (i <= j) is written
+// exactly once and needs no locking.
 func SymMatrixFromCompactOpts(vecs []CompactVector, opt MatrixOptions) (*linalg.SymMatrix, error) {
 	n := len(vecs)
 	if n == 0 {
@@ -106,35 +53,6 @@ func SymMatrixFromCompactOpts(vecs []CompactVector, opt MatrixOptions) (*linalg.
 		self[i] = vecs[i].SelfDot()
 	}
 	m := linalg.NewSymMatrix(n)
-	err := kernelPairs(n, opt, self, func(i, j int) float64 {
-		return vecs[i].Dot(vecs[j])
-	}, m.Set)
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// kernelInto is the map-vector front end of kernelPairs.
-func kernelInto(vecs []Vector, opt MatrixOptions, set func(i, j int, s float64)) error {
-	n := len(vecs)
-	// Pre-compute self-kernels once.
-	self := make([]float64, n)
-	for i, v := range vecs {
-		self[i] = Dot(v, v)
-	}
-	return kernelPairs(n, opt, self, func(i, j int) float64 {
-		return Dot(vecs[i], vecs[j])
-	}, set)
-}
-
-// kernelPairs runs the parallel pairwise computation, delivering each
-// normalized upper-triangle cell (i <= j) exactly once through set.
-// dot supplies the raw kernel value for a pair; self holds the
-// precomputed self-kernels. Workers own disjoint rows, so set never
-// sees the same cell twice and needs no locking as long as distinct
-// cells have distinct storage.
-func kernelPairs(n int, opt MatrixOptions, self []float64, dot func(i, j int) float64, set func(i, j int, s float64)) error {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -173,10 +91,9 @@ func kernelPairs(n int, opt MatrixOptions, self []float64, dot func(i, j int) fl
 					case self[i] == 0 || self[j] == 0:
 						s = 0
 					default:
-						s = normalizeKernel(dot(i, j), self[i], self[j])
+						s = normalizeKernel(vecs[i].Dot(vecs[j]), self[i], self[j])
 					}
-					// Distinct cells per (i,j): no write conflicts.
-					set(i, j, s)
+					m.Set(i, j, s)
 				}
 				if opt.OnRow == nil {
 					continue
@@ -207,8 +124,8 @@ feed:
 	wg.Wait()
 	if abortErr != nil {
 		obsKernelAborts.Add(1)
-		return abortErr
+		return nil, abortErr
 	}
 	obsKernelPairs.Add(int64(n) * int64(n+1) / 2)
-	return nil
+	return m, nil
 }

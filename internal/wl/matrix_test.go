@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"jobgraph/internal/dag"
+	"jobgraph/internal/linalg"
 )
 
 func sampleGraphs(t testing.TB, n int, seed int64) []*dag.Graph {
@@ -30,9 +31,24 @@ func sampleGraphs(t testing.TB, n int, seed int64) []*dag.Graph {
 	return graphs
 }
 
+// kernelMatrix is the kernel-matrix path callers take: one dictionary
+// over the graphs, compact vectors, the packed matrix, then its dense
+// expansion.
+func kernelMatrix(graphs []*dag.Graph, opt Options, workers int) (*linalg.Matrix, error) {
+	vecs, _, err := Features(graphs, opt)
+	if err != nil {
+		return nil, err
+	}
+	m, err := SymMatrixFromCompactOpts(CompactAll(vecs), MatrixOptions{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	return m.Dense(), nil
+}
+
 func TestKernelMatrixProperties(t *testing.T) {
 	graphs := sampleGraphs(t, 20, 1)
-	m, err := KernelMatrix(graphs, DefaultOptions(), 4)
+	m, err := kernelMatrix(graphs, DefaultOptions(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +73,7 @@ func TestKernelMatrixProperties(t *testing.T) {
 
 func TestKernelMatrixMatchesPairwise(t *testing.T) {
 	graphs := sampleGraphs(t, 8, 2)
-	m, err := KernelMatrix(graphs, DefaultOptions(), 3)
+	m, err := kernelMatrix(graphs, DefaultOptions(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +94,13 @@ func TestKernelMatrixMatchesPairwise(t *testing.T) {
 func TestKernelMatrixWorkerCountInvariantProperty(t *testing.T) {
 	// Result must be identical regardless of parallel fan-out.
 	graphs := sampleGraphs(t, 12, 3)
-	ref, err := KernelMatrix(graphs, DefaultOptions(), 1)
+	ref, err := kernelMatrix(graphs, DefaultOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := func(w uint8) bool {
 		workers := 1 + int(w%16)
-		m, err := KernelMatrix(graphs, DefaultOptions(), workers)
+		m, err := kernelMatrix(graphs, DefaultOptions(), workers)
 		if err != nil {
 			return false
 		}
@@ -102,26 +118,26 @@ func TestKernelMatrixWorkerCountInvariantProperty(t *testing.T) {
 
 func TestKernelMatrixDefaultWorkers(t *testing.T) {
 	graphs := sampleGraphs(t, 5, 4)
-	if _, err := KernelMatrix(graphs, DefaultOptions(), 0); err != nil {
+	if _, err := kernelMatrix(graphs, DefaultOptions(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := KernelMatrix(graphs, DefaultOptions(), 100); err != nil {
+	if _, err := kernelMatrix(graphs, DefaultOptions(), 100); err != nil {
 		t.Fatal(err) // more workers than rows must still work
 	}
 }
 
 func TestKernelMatrixEmptyInput(t *testing.T) {
-	if _, err := KernelMatrix(nil, DefaultOptions(), 1); err == nil {
+	if _, err := kernelMatrix(nil, DefaultOptions(), 1); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	if _, err := MatrixFromVectors(nil, 1); err == nil {
+	if _, err := SymMatrixFromCompactOpts(nil, MatrixOptions{Workers: 1}); err == nil {
 		t.Fatal("empty vectors accepted")
 	}
 }
 
 func TestKernelMatrixWithEmptyGraphs(t *testing.T) {
 	graphs := []*dag.Graph{dag.New("e1"), chainGraph(t, "c", 3), dag.New("e2")}
-	m, err := KernelMatrix(graphs, DefaultOptions(), 2)
+	m, err := kernelMatrix(graphs, DefaultOptions(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +158,7 @@ func TestIdenticalChainsClusterAtOne(t *testing.T) {
 	graphs := []*dag.Graph{
 		chainGraph(t, "a", 3), chainGraph(t, "b", 3), chainGraph(t, "c", 3),
 	}
-	m, err := KernelMatrix(graphs, DefaultOptions(), 2)
+	m, err := kernelMatrix(graphs, DefaultOptions(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,20 +171,20 @@ func TestIdenticalChainsClusterAtOne(t *testing.T) {
 	}
 }
 
-func testVectors(t testing.TB, n int, seed int64) []Vector {
+func testVectors(t testing.TB, n int, seed int64) []CompactVector {
 	t.Helper()
 	vecs, _, err := Features(sampleGraphs(t, n, seed), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return vecs
+	return CompactAll(vecs)
 }
 
 func TestMatrixOnRowProgress(t *testing.T) {
 	vecs := testVectors(t, 25, 5)
 	var calls int
 	last := 0
-	m, err := MatrixFromVectorsOpts(vecs, MatrixOptions{Workers: 1, OnRow: func(done, total int) error {
+	m, err := SymMatrixFromCompactOpts(vecs, MatrixOptions{Workers: 1, OnRow: func(done, total int) error {
 		calls++
 		if total != 25 || done != last+1 {
 			t.Fatalf("progress (%d,%d) after %d", done, total, last)
@@ -193,7 +209,7 @@ func TestMatrixAbortMidRun(t *testing.T) {
 	before := runtime.NumGoroutine()
 	boom := errors.New("deadline blown")
 	for trial := 0; trial < 20; trial++ {
-		m, err := MatrixFromVectorsOpts(vecs, MatrixOptions{Workers: 8, OnRow: func(done, total int) error {
+		m, err := SymMatrixFromCompactOpts(vecs, MatrixOptions{Workers: 8, OnRow: func(done, total int) error {
 			if done >= 3+trial {
 				return boom
 			}
@@ -223,7 +239,7 @@ func TestMatrixAbortMidRun(t *testing.T) {
 func TestMatrixAbortFirstRow(t *testing.T) {
 	vecs := testVectors(t, 10, 7)
 	boom := errors.New("stop immediately")
-	m, err := MatrixFromVectorsOpts(vecs, MatrixOptions{Workers: 4, OnRow: func(done, total int) error {
+	m, err := SymMatrixFromCompactOpts(vecs, MatrixOptions{Workers: 4, OnRow: func(done, total int) error {
 		return boom
 	}})
 	if m != nil || !errors.Is(err, boom) {
@@ -233,16 +249,16 @@ func TestMatrixAbortFirstRow(t *testing.T) {
 
 func TestMatrixOptsMatchesPlain(t *testing.T) {
 	vecs := testVectors(t, 15, 8)
-	a, err := MatrixFromVectors(vecs, 4)
+	a, err := SymMatrixFromCompactOpts(vecs, MatrixOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MatrixFromVectorsOpts(vecs, MatrixOptions{Workers: 4, OnRow: func(done, total int) error { return nil }})
+	b, err := SymMatrixFromCompactOpts(vecs, MatrixOptions{Workers: 4, OnRow: func(done, total int) error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
+	for i := 0; i < len(vecs); i++ {
+		for j := 0; j < len(vecs); j++ {
 			if a.At(i, j) != b.At(i, j) {
 				t.Fatalf("matrices differ at (%d,%d)", i, j)
 			}

@@ -26,12 +26,17 @@ func TestSPSelfSimilarityOne(t *testing.T) {
 }
 
 func TestSPDistancesChain(t *testing.T) {
-	g := chainGraph(t, "c", 4)
-	dists := shortestPaths(g)
-	if dists[1][4] != 3 || dists[1][2] != 1 || dists[2][2] != 0 {
+	g := chainGraph(t, "c", 4) // nodes 1..4 at positions 0..3
+	e := newFastEmbedder(NewDictionary(), nil)
+	e.shortestPaths(g)
+	dists := make(map[[2]int32]int32)
+	for _, sp := range e.paths {
+		dists[[2]int32{sp.u, sp.v}] = sp.d
+	}
+	if dists[[2]int32{0, 3}] != 3 || dists[[2]int32{0, 1}] != 1 || dists[[2]int32{1, 1}] != 0 {
 		t.Fatalf("chain distances: %v", dists)
 	}
-	if _, reachable := dists[4][1]; reachable {
+	if _, reachable := dists[[2]int32{3, 0}]; reachable {
 		t.Fatal("directed SP should not go backwards")
 	}
 }
@@ -143,7 +148,7 @@ func TestSPVectorMassProperty(t *testing.T) {
 
 func TestSPKernelMatrix(t *testing.T) {
 	graphs := sampleGraphs(t, 10, 5)
-	m, err := KernelMatrix(graphs, spOptions(2), 2)
+	m, err := kernelMatrix(graphs, spOptions(2), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,12 @@ import (
 	"testing"
 
 	"jobgraph/internal/dag"
-	"jobgraph/internal/linalg"
 )
 
-// TestSymMatrixMatchesDense pins the packed kernel path to the dense
-// one bit for bit: the pipeline caches the packed form and expands it
-// downstream, so any divergence here would silently change Analysis
-// output.
+// TestSymMatrixMatchesDense pins the packed kernel matrix, expanded to
+// its dense form, to pairwise Similarity over the map vectors bit for
+// bit: the pipeline caches the packed form and expands it downstream,
+// so any divergence here would silently change Analysis output.
 func TestSymMatrixMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	graphs := make([]*dag.Graph, 30)
@@ -25,34 +24,22 @@ func TestSymMatrixMatchesDense(t *testing.T) {
 	}
 	compact := CompactAll(vecs)
 	for _, workers := range []int{1, 4} {
-		dense, err := MatrixFromVectorsOpts(vecs, MatrixOptions{Workers: workers})
+		packed, err := SymMatrixFromCompactOpts(compact, MatrixOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		check := func(name string, packed *linalg.SymMatrix) {
-			t.Helper()
-			got := packed.Dense()
-			if got.Rows != dense.Rows || got.Cols != dense.Cols {
-				t.Fatalf("workers=%d %s shape %dx%d, want %dx%d",
-					workers, name, got.Rows, got.Cols, dense.Rows, dense.Cols)
-			}
-			for k := range dense.Data {
-				if got.Data[k] != dense.Data[k] {
-					t.Fatalf("workers=%d %s kernel differs from dense at flat index %d: %v != %v",
-						workers, name, k, got.Data[k], dense.Data[k])
+		got := packed.Dense()
+		if got.Rows != len(vecs) || got.Cols != len(vecs) {
+			t.Fatalf("workers=%d shape %dx%d, want %dx%d", workers, got.Rows, got.Cols, len(vecs), len(vecs))
+		}
+		for i := range vecs {
+			for j := range vecs {
+				if g, w := got.At(i, j), Similarity(vecs[i], vecs[j]); g != w {
+					t.Fatalf("workers=%d kernel differs from pairwise Similarity at (%d,%d): %v != %v",
+						workers, i, j, g, w)
 				}
 			}
 		}
-		packed, err := SymMatrixFromVectorsOpts(vecs, MatrixOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("map", packed)
-		merged, err := SymMatrixFromCompactOpts(compact, MatrixOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("compact", merged)
 	}
 }
 

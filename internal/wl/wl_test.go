@@ -3,6 +3,7 @@ package wl
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -312,6 +313,29 @@ func TestEmbedDeterministic(t *testing.T) {
 	for k, c := range v1 {
 		if v2[k] != c {
 			t.Fatalf("vectors differ at label %d: %g vs %g", k, c, v2[k])
+		}
+	}
+}
+
+// TestFeaturesDeterministicAllBases runs Features twice, each time in a
+// fresh dictionary, and requires identical vectors for every base: the
+// dictionary ids a graph's features land on must not depend on map
+// iteration order.
+func TestFeaturesDeterministicAllBases(t *testing.T) {
+	graphs := sampleGraphs(t, 30, 31)
+	for _, base := range []BaseKernel{BaseSubtree, BaseShortestPath, BaseEdge} {
+		opt := DefaultOptions()
+		opt.Base = base
+		first, _, err := Features(graphs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, _, err := Features(graphs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("%s: vectors differ between two runs in fresh dictionaries", base)
 		}
 	}
 }
