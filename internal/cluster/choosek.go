@@ -10,7 +10,7 @@ import (
 // ChooseK estimates the number of clusters in a similarity matrix with
 // the eigengap heuristic: compute the spectrum of the normalized
 // affinity and return the k in [minK, maxK] after which the largest
-// relative drop in eigenvalue occurs. The paper fixes k=5 by
+// absolute drop λ[k-1]−λ[k] in eigenvalue occurs. The paper fixes k=5 by
 // inspection; this automates the same inspection for new traces.
 func ChooseK(affinity *linalg.Matrix, minK, maxK int) (int, error) {
 	n := affinity.Rows
@@ -24,24 +24,7 @@ func ChooseK(affinity *linalg.Matrix, minK, maxK int) (int, error) {
 		return 0, fmt.Errorf("cluster: affinity matrix is not symmetric")
 	}
 
-	// Same normalization as Spectral.
-	l := affinity.Clone()
-	dinv := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var deg float64
-		for j := 0; j < n; j++ {
-			deg += affinity.At(i, j)
-		}
-		if deg > 0 {
-			dinv[i] = 1 / math.Sqrt(deg)
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			l.Set(i, j, affinity.At(i, j)*dinv[i]*dinv[j])
-		}
-	}
-	eig, err := linalg.SymmetricEigen(l, 0)
+	eig, err := linalg.SymmetricEigen(normalizedAffinity(affinity))
 	if err != nil {
 		return 0, fmt.Errorf("cluster: %w", err)
 	}

@@ -9,18 +9,8 @@ import (
 )
 
 // obsSpectralRuns counts full spectral clusterings (eigendecomposition
-// plus embedded k-means); obsSpectralEigenRetries counts relaxed-
-// tolerance re-decompositions after the solver hit its sweep cap.
-var (
-	obsSpectralRuns         = obs.Default().Counter("cluster.spectral.runs")
-	obsSpectralEigenRetries = obs.Default().Counter("cluster.spectral.eigen_retries")
-)
-
-// relaxedEigenTol is the fallback convergence threshold used when the
-// default-tolerance Jacobi decomposition exhausts its sweep budget. Four
-// orders looser than the 1e-12 default but still far tighter than the
-// cluster-separation scale, so the embedding stays trustworthy.
-const relaxedEigenTol = 1e-8
+// plus embedded k-means).
+var obsSpectralRuns = obs.Default().Counter("cluster.spectral.runs")
 
 // SpectralOptions configures Ng–Jordan–Weiss spectral clustering.
 type SpectralOptions struct {
@@ -39,9 +29,7 @@ type SpectralResult struct {
 	// the K-th value is the usual heuristic check that K is sensible.
 	Eigenvalues []float64
 	// Warnings records non-fatal degradations taken to produce the
-	// result: a relaxed-tolerance eigendecomposition retry, a solver
-	// that never converged, or a degenerate k-means labeling. Empty on
-	// a clean run.
+	// result: a degenerate k-means labeling. Empty on a clean run.
 	Warnings []string
 }
 
@@ -68,57 +56,19 @@ func Spectral(affinity *linalg.Matrix, opt SpectralOptions) (*SpectralResult, er
 		return nil, fmt.Errorf("cluster: affinity matrix is not symmetric")
 	}
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if affinity.At(i, j) < 0 {
+		for j, v := range affinity.Row(i) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("cluster: non-finite affinity %g at (%d,%d)", v, i, j)
+			}
+			if v < 0 {
 				return nil, fmt.Errorf("cluster: negative affinity at (%d,%d)", i, j)
 			}
 		}
 	}
 
-	// Normalized affinity L = D^{-1/2} A D^{-1/2}.
-	l := affinity.Clone()
-	dinv := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var deg float64
-		for j := 0; j < n; j++ {
-			deg += affinity.At(i, j)
-		}
-		if deg <= 0 {
-			// Fully isolated item (zero similarity to everything,
-			// including itself). Leave its row zero; it will land in
-			// whatever cluster k-means gives the zero embedding.
-			dinv[i] = 0
-			continue
-		}
-		dinv[i] = 1 / math.Sqrt(deg)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			l.Set(i, j, affinity.At(i, j)*dinv[i]*dinv[j])
-		}
-	}
-
-	var warnings []string
-	eig, err := linalg.SymmetricEigen(l, 0)
+	eig, err := linalg.SymmetricEigen(normalizedAffinity(affinity))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	if !eig.Converged {
-		// The solver hit its sweep cap at the default tolerance. Retry
-		// once with a relaxed threshold rather than failing the whole
-		// pipeline: the embedding only needs cluster-scale accuracy.
-		obsSpectralEigenRetries.Add(1)
-		warnings = append(warnings, fmt.Sprintf(
-			"eigensolver hit sweep cap after %d sweeps; retried with relaxed tolerance %g", eig.Sweeps, relaxedEigenTol))
-		retry, rerr := linalg.SymmetricEigen(l, relaxedEigenTol)
-		if rerr != nil {
-			return nil, fmt.Errorf("cluster: relaxed-tolerance retry: %w", rerr)
-		}
-		eig = retry
-		if !eig.Converged {
-			warnings = append(warnings, fmt.Sprintf(
-				"eigensolver still non-converged at tolerance %g; using best approximation", relaxedEigenTol))
-		}
 	}
 	x, err := linalg.TopKEigenvectors(eig, opt.K)
 	if err != nil {
@@ -139,6 +89,7 @@ func Spectral(affinity *linalg.Matrix, opt SpectralOptions) (*SpectralResult, er
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	var warnings []string
 	if res.Degenerate {
 		warnings = append(warnings, fmt.Sprintf(
 			"k-means produced %d populated clusters for k=%d despite reseeding; groups may be merged",
@@ -153,7 +104,33 @@ func Spectral(affinity *linalg.Matrix, opt SpectralOptions) (*SpectralResult, er
 	}, nil
 }
 
-// EigenGap returns the relative gap λ[k-1]−λ[k] of the result's spectrum
+// normalizedAffinity returns the NJW matrix L = D^{-1/2} A D^{-1/2},
+// with D the diagonal degree matrix of a. A fully isolated item (zero
+// similarity to everything, itself included) keeps a zero row; it lands
+// in whatever cluster k-means gives the zero embedding.
+func normalizedAffinity(a *linalg.Matrix) *linalg.Matrix {
+	n := a.Rows
+	dinv := make([]float64, n)
+	for i := range dinv {
+		var deg float64
+		for _, v := range a.Row(i) {
+			deg += v
+		}
+		if deg > 0 {
+			dinv[i] = 1 / math.Sqrt(deg)
+		}
+	}
+	l := linalg.NewMatrix(n, n)
+	for i := range dinv {
+		out := l.Row(i)
+		for j, v := range a.Row(i) {
+			out[j] = v * dinv[i] * dinv[j]
+		}
+	}
+	return l
+}
+
+// EigenGap returns the absolute gap λ[k-1]−λ[k] of the result's spectrum
 // (descending eigenvalues), the standard diagnostic for choosing K.
 func (r *SpectralResult) EigenGap(k int) (float64, error) {
 	if k < 1 || k >= len(r.Eigenvalues) {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"jobgraph/internal/linalg"
@@ -89,6 +91,23 @@ func TestSpectralValidation(t *testing.T) {
 	neg.Set(1, 0, -0.5)
 	if _, err := Spectral(neg, SpectralOptions{K: 2}); err == nil {
 		t.Fatal("negative affinity accepted")
+	}
+}
+
+func TestSpectralRejectsNonFinite(t *testing.T) {
+	// One non-finite pair in an otherwise clean 6×6 affinity must fail
+	// the call, not come back as NaN eigenvalues and all-zero labels.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		aff, _ := blockAffinity([]int{3, 3}, 0.9, 0.1)
+		aff.Set(1, 4, bad)
+		aff.Set(4, 1, bad)
+		_, err := Spectral(aff, SpectralOptions{K: 2})
+		if err == nil || !strings.Contains(err.Error(), "non-finite affinity") {
+			t.Fatalf("affinity %g: err = %v, want a non-finite affinity error", bad, err)
+		}
+		if _, err := ChooseK(aff, 1, 3); err == nil {
+			t.Fatalf("ChooseK accepted affinity %g", bad)
+		}
 	}
 }
 

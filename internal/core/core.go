@@ -202,8 +202,8 @@ type Analysis struct {
 	Silhouette float64
 
 	// Warnings lists every non-fatal degradation the run absorbed:
-	// lossy or partial ingest, eigensolver retries, degenerate k-means,
-	// or the size-quantile clustering fallback. Empty on a clean run.
+	// lossy or partial ingest, degenerate k-means, or the size-quantile
+	// clustering fallback. Empty on a clean run.
 	Warnings []string
 	// Partial reports that the input trace was truncated mid-table and
 	// the analysis covers only the rows read before the cut.

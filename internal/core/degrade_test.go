@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"io"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,6 +60,35 @@ func TestSpectralFailureFallsBackToSizeQuantiles(t *testing.T) {
 	}
 	if total != 30 {
 		t.Fatalf("fallback groups cover %d of 30 samples", total)
+	}
+}
+
+func TestNonFiniteAffinityFallsBackToSizeQuantiles(t *testing.T) {
+	// A NaN similarity reaching the real spectral step is an error, so
+	// the run takes the documented size-quantile fallback and says why.
+	swapSpectral(t, func(sim *linalg.Matrix, opt cluster.SpectralOptions) (*cluster.SpectralResult, error) {
+		sim.Set(0, 1, math.NaN())
+		sim.Set(1, 0, math.NaN())
+		return cluster.Spectral(sim, opt)
+	})
+	an, err := Run(genJobs(t, 800, 3), degradeConfig(3))
+	if err != nil {
+		t.Fatalf("degraded run failed outright: %v", err)
+	}
+	if len(an.Labels) != 30 || len(an.Groups) != 3 {
+		t.Fatalf("fallback produced %d labels, %d groups; want 30, 3", len(an.Labels), len(an.Groups))
+	}
+	if want := sizeQuantileLabels(an.Graphs, 3); !slices.Equal(an.Labels, want) {
+		t.Fatalf("labels %v, want the size-quantile labels %v", an.Labels, want)
+	}
+	found := false
+	for _, w := range an.Warnings {
+		if strings.Contains(w, "size-quantile") && strings.Contains(w, "non-finite affinity") {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("non-finite affinity fallback not surfaced in warnings: %v", an.Warnings)
 	}
 }
 

@@ -62,8 +62,8 @@ type (
 	}
 	clusterArtifact struct {
 		Labels []int
-		// Warnings are the degradations this stage absorbed (eigensolver
-		// retries, degenerate k-means, or the size-quantile fallback).
+		// Warnings are the degradations this stage absorbed (degenerate
+		// k-means or the size-quantile fallback).
 		// They live in the artifact — not just on the Analysis — so a
 		// warm run reproduces the degraded run's warnings verbatim.
 		Warnings []string

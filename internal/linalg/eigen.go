@@ -8,9 +8,10 @@ import (
 	"jobgraph/internal/obs"
 )
 
-// Eigensolver convergence telemetry: Jacobi sweeps to convergence per
-// decomposition. A sweep count creeping toward jacobiMaxSweeps means
-// the affinity matrix is ill-conditioned and results are suspect.
+// Eigensolver convergence telemetry. The sweeps histogram keeps its
+// historical name; it observes implicit-QL iterations per
+// decomposition. A decomposition that exhausts qlMaxIter on some
+// eigenvalue fails and counts as non-converged.
 var (
 	obsEigenRuns         = obs.Default().Counter("linalg.eigen.runs")
 	obsEigenSweeps       = obs.Default().Histogram("linalg.eigen.sweeps")
@@ -24,141 +25,266 @@ type EigenResult struct {
 	Values  []float64
 	Vectors [][]float64 // Vectors[k][i] = i-th component of eigenvector k
 
-	// Sweeps is the number of full Jacobi sweeps executed. Converged
-	// reports whether the off-diagonal mass actually dropped below the
-	// tolerance, or the solver stopped at the sweep cap with the best
-	// approximation it had. A non-converged result is still a usable
-	// (approximate) decomposition; callers decide whether to retry with
-	// a relaxed tolerance or degrade.
-	Sweeps    int
-	Converged bool
+	// Iterations is the total number of implicit-QL iterations over all
+	// eigenvalues: 0 for a diagonal input.
+	Iterations int
 }
 
-// jacobiMaxSweeps bounds the number of full Jacobi sweeps. Cyclic Jacobi
-// converges quadratically; well-conditioned similarity matrices finish in
-// well under 20 sweeps even at n in the thousands.
-const jacobiMaxSweeps = 64
+// qlMaxIter bounds the implicit-QL iterations spent on one eigenvalue,
+// as LAPACK's dsteqr does. Shifted QL on a symmetric tridiagonal
+// converges cubically, so an eigenvalue typically takes one or two.
+const qlMaxIter = 30
 
 // SymmetricEigen computes all eigenvalues and eigenvectors of the real
-// symmetric matrix a using the cyclic Jacobi rotation method. The input
-// is not modified. tol is the convergence threshold on the largest
-// absolute off-diagonal element relative to the Frobenius norm; pass 0
-// for the default (1e-12).
+// symmetric matrix a. The input is not modified.
 //
-// Jacobi is chosen over Householder-QR because (a) it is simple enough to
-// verify from first principles, (b) it delivers small, uniformly accurate
-// eigenpairs, and (c) the spectral-clustering matrices here are at most a
-// few thousand square, where Jacobi's O(n³) per sweep is immaterial.
-func SymmetricEigen(a *Matrix, tol float64) (*EigenResult, error) {
+// It is the classic two-phase method (the tred2/tql2 pair of EISPACK as
+// published in JAMA): Householder reflections reduce a to tridiagonal
+// form in 4/3·n³ flops and accumulate the orthogonal transform, then
+// implicit QL with shifts diagonalises the tridiagonal, rotating the
+// accumulated transform as it goes. QL converges to machine precision,
+// so there is no tolerance to choose. Both phases work on the transpose
+// of JAMA's V, so every inner loop streams over one contiguous row and
+// the rows end as the eigenvectors.
+func SymmetricEigen(a *Matrix) (*EigenResult, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("linalg: eigen needs square matrix, got %dx%d", a.Rows, a.Cols)
+	}
+	for k, v := range a.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("linalg: eigen needs finite matrix, got %g at (%d,%d)", v, k/a.Cols, k%a.Cols)
+		}
 	}
 	if !a.IsSymmetric(1e-9 * (1 + a.FrobeniusNorm())) {
 		return nil, fmt.Errorf("linalg: eigen needs symmetric matrix")
 	}
-	if tol <= 0 {
-		tol = 1e-12
-	}
 	n := a.Rows
-	m := a.Clone()
-	v := Identity(n)
-
-	scale := m.FrobeniusNorm()
-	if scale == 0 {
-		scale = 1 // zero matrix: eigenvalues all zero, identity vectors
-	}
-
-	sweeps := 0
-	for ; sweeps < jacobiMaxSweeps; sweeps++ {
-		off := m.MaxAbsOffDiag()
-		if off <= tol*scale {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := m.At(p, q)
-				if math.Abs(apq) <= tol*scale/float64(n*n) {
-					continue
-				}
-				rotate(m, v, p, q)
-			}
-		}
-	}
-	converged := m.MaxAbsOffDiag() <= tol*scale
+	w := a.Transpose() // w.Row(j) is column j of JAMA's V
+	d := make([]float64, n)
+	e := make([]float64, n)
+	tred2(w, d, e)
+	iters, err := tql2(w, d, e)
 	obsEigenRuns.Add(1)
-	obsEigenSweeps.Observe(float64(sweeps))
-	if !converged {
+	obsEigenSweeps.Observe(float64(iters))
+	if err != nil {
 		obsEigenNonConverged.Add(1)
+		return nil, err
 	}
 
-	res := &EigenResult{
-		Values:    make([]float64, n),
-		Vectors:   make([][]float64, n),
-		Sweeps:    sweeps,
-		Converged: converged,
-	}
+	// Stable descending order, so tied eigenvalues keep index order.
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
-		res.Values[i] = m.At(i, i)
 	}
-	sort.Slice(order, func(x, y int) bool {
-		return res.Values[order[x]] > res.Values[order[y]]
-	})
-	sortedVals := make([]float64, n)
+	sort.SliceStable(order, func(x, y int) bool { return d[order[x]] > d[order[y]] })
+	res := &EigenResult{
+		Values:     make([]float64, n),
+		Vectors:    make([][]float64, n),
+		Iterations: iters,
+	}
+	backing := make([]float64, n*n)
 	for k, idx := range order {
-		sortedVals[k] = res.Values[idx]
-		vec := make([]float64, n)
-		for i := 0; i < n; i++ {
-			vec[i] = v.At(i, idx) // columns of V are eigenvectors
-		}
-		res.Vectors[k] = vec
+		res.Values[k] = d[idx]
+		res.Vectors[k] = backing[k*n : (k+1)*n : (k+1)*n]
+		copy(res.Vectors[k], w.Row(idx))
 	}
-	res.Values = sortedVals
 	return res, nil
 }
 
-// rotate applies one two-sided Jacobi rotation zeroing m[p][q], updating
-// the accumulated eigenvector matrix v.
-func rotate(m, v *Matrix, p, q int) {
-	app := m.At(p, p)
-	aqq := m.At(q, q)
-	apq := m.At(p, q)
-
-	// Rotation angle via the numerically stable t = sign(θ)/(|θ|+√(θ²+1)).
-	theta := (aqq - app) / (2 * apq)
-	var t float64
-	if theta >= 0 {
-		t = 1 / (theta + math.Sqrt(theta*theta+1))
-	} else {
-		t = -1 / (-theta + math.Sqrt(theta*theta+1))
+// tred2 reduces the symmetric matrix held in w to tridiagonal form by
+// Householder similarity transforms. On return d holds the diagonal,
+// e[1:] the subdiagonal (e[0] = 0), and row j of w the j-th column of
+// the orthogonal matrix V with Vᵀ·A·V tridiagonal. The loops are JAMA's
+// with every V[r][c] read as w[c][r].
+func tred2(w *Matrix, d, e []float64) {
+	n := w.Rows
+	for j := 0; j < n; j++ {
+		d[j] = w.At(j, n-1)
 	}
-	c := 1 / math.Sqrt(t*t+1)
-	s := t * c
-	tau := s / (1 + c)
-
-	n := m.Rows
-	m.Set(p, p, app-t*apq)
-	m.Set(q, q, aqq+t*apq)
-	m.Set(p, q, 0)
-	m.Set(q, p, 0)
-	for i := 0; i < n; i++ {
-		if i == p || i == q {
+	for i := n - 1; i > 0; i-- {
+		// Scale to avoid under/overflow.
+		var scale, h float64
+		for k := 0; k < i; k++ {
+			scale += math.Abs(d[k])
+		}
+		if scale == 0 {
+			e[i] = d[i-1]
+			for j := 0; j < i; j++ {
+				d[j] = w.At(j, i-1)
+				w.Set(j, i, 0)
+				w.Set(i, j, 0)
+			}
+			d[i] = h
 			continue
 		}
-		aip := m.At(i, p)
-		aiq := m.At(i, q)
-		m.Set(i, p, aip-s*(aiq+tau*aip))
-		m.Set(p, i, m.At(i, p))
-		m.Set(i, q, aiq+s*(aip-tau*aiq))
-		m.Set(q, i, m.At(i, q))
+
+		// Generate the Householder vector.
+		for k := 0; k < i; k++ {
+			d[k] /= scale
+			h += d[k] * d[k]
+		}
+		f := d[i-1]
+		g := math.Sqrt(h)
+		if f > 0 {
+			g = -g
+		}
+		e[i] = scale * g
+		h -= f * g
+		d[i-1] = f - g
+		for j := 0; j < i; j++ {
+			e[j] = 0
+		}
+
+		// Apply the similarity transform to the remaining columns.
+		wi := w.Row(i)
+		for j := 0; j < i; j++ {
+			f = d[j]
+			wi[j] = f
+			wj := w.Row(j)
+			g = e[j] + wj[j]*f
+			for k := j + 1; k <= i-1; k++ {
+				g += wj[k] * d[k]
+				e[k] += wj[k] * f
+			}
+			e[j] = g
+		}
+		f = 0
+		for j := 0; j < i; j++ {
+			e[j] /= h
+			f += e[j] * d[j]
+		}
+		hh := f / (h + h)
+		for j := 0; j < i; j++ {
+			e[j] -= hh * d[j]
+		}
+		for j := 0; j < i; j++ {
+			f = d[j]
+			g = e[j]
+			wj := w.Row(j)
+			for k := j; k <= i-1; k++ {
+				wj[k] -= f*e[k] + g*d[k]
+			}
+			d[j] = wj[i-1]
+			wj[i] = 0
+		}
+		d[i] = h
 	}
-	for i := 0; i < n; i++ {
-		vip := v.At(i, p)
-		viq := v.At(i, q)
-		v.Set(i, p, vip-s*(viq+tau*vip))
-		v.Set(i, q, viq+s*(vip-tau*viq))
+
+	// Accumulate the transforms.
+	for i := 0; i < n-1; i++ {
+		wi, wi1 := w.Row(i), w.Row(i+1)
+		wi[n-1] = wi[i]
+		wi[i] = 1
+		if h := d[i+1]; h != 0 {
+			for k := 0; k <= i; k++ {
+				d[k] = wi1[k] / h
+			}
+			for j := 0; j <= i; j++ {
+				wj := w.Row(j)
+				var g float64
+				for k := 0; k <= i; k++ {
+					g += wi1[k] * wj[k]
+				}
+				for k := 0; k <= i; k++ {
+					wj[k] -= g * d[k]
+				}
+			}
+		}
+		for k := 0; k <= i; k++ {
+			wi1[k] = 0
+		}
 	}
+	for j := 0; j < n; j++ {
+		d[j] = w.At(j, n-1)
+		w.Set(j, n-1, 0)
+	}
+	w.Set(n-1, n-1, 1)
+	e[0] = 0
+}
+
+// tql2 diagonalises the symmetric tridiagonal matrix from tred2 by the
+// QL method with implicit shifts, applying each rotation to the rows of
+// w. On return d holds the (unsorted) eigenvalues and row j of w the
+// eigenvector for d[j]. It returns the total number of QL iterations,
+// or an error when one eigenvalue needs more than qlMaxIter.
+func tql2(w *Matrix, d, e []float64) (int, error) {
+	n := w.Rows
+	for i := 1; i < n; i++ {
+		e[i-1] = e[i]
+	}
+	e[n-1] = 0
+
+	var f, tst1 float64
+	const eps = 0x1p-52
+	total := 0
+	for l := 0; l < n; l++ {
+		// Find a negligible subdiagonal element. e[n-1] is zero, so the
+		// scan ends at n-1 at the latest.
+		tst1 = math.Max(tst1, math.Abs(d[l])+math.Abs(e[l]))
+		m := l
+		for m < n-1 && math.Abs(e[m]) > eps*tst1 {
+			m++
+		}
+
+		// If m == l, d[l] is already an eigenvalue; otherwise iterate.
+		for iter := 0; m > l; iter++ {
+			if iter == qlMaxIter {
+				return total, fmt.Errorf("linalg: QL did not converge on eigenvalue %d after %d iterations", l, qlMaxIter)
+			}
+			total++
+
+			// Compute the implicit shift.
+			g := d[l]
+			p := (d[l+1] - g) / (2 * e[l])
+			r := math.Hypot(p, 1)
+			if p < 0 {
+				r = -r
+			}
+			d[l] = e[l] / (p + r)
+			d[l+1] = e[l] * (p + r)
+			dl1 := d[l+1]
+			h := g - d[l]
+			for i := l + 2; i < n; i++ {
+				d[i] -= h
+			}
+			f += h
+
+			// Implicit QL transformation.
+			p = d[m]
+			c, c2, c3 := 1.0, 1.0, 1.0
+			el1 := e[l+1]
+			var s, s2 float64
+			for i := m - 1; i >= l; i-- {
+				c3 = c2
+				c2 = c
+				s2 = s
+				g = c * e[i]
+				h = c * p
+				r = math.Hypot(p, e[i])
+				e[i+1] = s * r
+				s = e[i] / r
+				c = p / r
+				p = c*d[i] - s*g
+				d[i+1] = h + s*(c*g+s*d[i])
+				// Accumulate the rotation into rows i and i+1.
+				wi, wi1 := w.Row(i), w.Row(i+1)
+				for k, vi := range wi {
+					h = wi1[k]
+					wi1[k] = s*vi + c*h
+					wi[k] = c*vi - s*h
+				}
+			}
+			p = -s * s2 * c3 * el1 * e[l] / dl1
+			e[l] = s * p
+			d[l] = c * p
+			if math.Abs(e[l]) <= eps*tst1 {
+				break
+			}
+		}
+		d[l] += f
+		e[l] = 0
+	}
+	return total, nil
 }
 
 // TopKEigenvectors returns the eigenvectors for the k largest eigenvalues

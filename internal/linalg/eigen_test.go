@@ -11,7 +11,7 @@ func TestSymmetricEigenKnown2x2(t *testing.T) {
 	// [[2,1],[1,2]] has eigenvalues 3 and 1 with eigenvectors
 	// (1,1)/√2 and (1,-1)/√2.
 	m, _ := FromRows([][]float64{{2, 1}, {1, 2}})
-	res, err := SymmetricEigen(m, 0)
+	res, err := SymmetricEigen(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestSymmetricEigenKnown2x2(t *testing.T) {
 
 func TestSymmetricEigenDiagonal(t *testing.T) {
 	m, _ := FromRows([][]float64{{5, 0, 0}, {0, -2, 0}, {0, 0, 3}})
-	res, err := SymmetricEigen(m, 0)
+	res, err := SymmetricEigen(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestSymmetricEigenDiagonal(t *testing.T) {
 }
 
 func TestSymmetricEigenZeroMatrix(t *testing.T) {
-	res, err := SymmetricEigen(NewMatrix(3, 3), 0)
+	res, err := SymmetricEigen(NewMatrix(3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +52,18 @@ func TestSymmetricEigenZeroMatrix(t *testing.T) {
 }
 
 func TestSymmetricEigenRejects(t *testing.T) {
-	if _, err := SymmetricEigen(NewMatrix(2, 3), 0); err == nil {
+	if _, err := SymmetricEigen(NewMatrix(2, 3)); err == nil {
 		t.Fatal("non-square accepted")
 	}
 	asym, _ := FromRows([][]float64{{1, 2}, {5, 1}})
-	if _, err := SymmetricEigen(asym, 0); err == nil {
+	if _, err := SymmetricEigen(asym); err == nil {
 		t.Fatal("asymmetric accepted")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		m, _ := FromRows([][]float64{{1, bad}, {bad, 1}})
+		if _, err := SymmetricEigen(m); err == nil {
+			t.Fatalf("non-finite entry %g accepted", bad)
+		}
 	}
 }
 
@@ -94,7 +100,7 @@ func TestEigenReconstructionProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(8)
 		m := randomSymmetric(rng, n)
-		res, err := SymmetricEigen(m, 0)
+		res, err := SymmetricEigen(m)
 		if err != nil {
 			return false
 		}
@@ -116,7 +122,7 @@ func TestEigenvectorsOrthonormalProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(6)
-		res, err := SymmetricEigen(randomSymmetric(rng, n), 0)
+		res, err := SymmetricEigen(randomSymmetric(rng, n))
 		if err != nil {
 			return false
 		}
@@ -145,7 +151,7 @@ func TestEigenvalueEquationProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(6)
 		m := randomSymmetric(rng, n)
-		res, err := SymmetricEigen(m, 0)
+		res, err := SymmetricEigen(m)
 		if err != nil {
 			return false
 		}
@@ -181,7 +187,7 @@ func TestEigenLargeWellConditioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SymmetricEigen(g, 0)
+	res, err := SymmetricEigen(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +208,7 @@ func TestEigenLargeWellConditioned(t *testing.T) {
 
 func TestTopKEigenvectors(t *testing.T) {
 	m, _ := FromRows([][]float64{{2, 1}, {1, 2}})
-	res, _ := SymmetricEigen(m, 0)
+	res, _ := SymmetricEigen(m)
 	top, err := TopKEigenvectors(res, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -221,63 +227,6 @@ func TestTopKEigenvectors(t *testing.T) {
 	}
 }
 
-func TestPowerIterationDominantPair(t *testing.T) {
-	m, _ := FromRows([][]float64{{2, 1}, {1, 2}})
-	val, vec, err := PowerIteration(m, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(val, 3, 1e-8) {
-		t.Fatalf("dominant eigenvalue = %g, want 3", val)
-	}
-	// Eigenvector error converges as the square root of the eigenvalue
-	// error; allow a correspondingly looser tolerance.
-	if !almost(math.Abs(vec[0]), 1/math.Sqrt2, 1e-4) {
-		t.Fatalf("dominant vector = %v", vec)
-	}
-}
-
-func TestPowerIterationMatchesJacobiProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(8)
-		// PSD Gram matrix: dominant eigenvalue is the largest one and
-		// power iteration converges cleanly.
-		x := NewMatrix(n, n+2)
-		for i := range x.Data {
-			x.Data[i] = rng.NormFloat64()
-		}
-		g, err := x.Mul(x.Transpose())
-		if err != nil {
-			return false
-		}
-		full, err := SymmetricEigen(g, 0)
-		if err != nil {
-			return false
-		}
-		val, _, err := PowerIteration(g, 1e-12, 5000)
-		if err != nil {
-			return false
-		}
-		scale := 1 + math.Abs(full.Values[0])
-		return math.Abs(val-full.Values[0]) < 1e-6*scale
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPowerIterationValidation(t *testing.T) {
-	if _, _, err := PowerIteration(NewMatrix(2, 3), 0, 0); err == nil {
-		t.Fatal("non-square accepted")
-	}
-	// Zero matrix: eigenvalue 0.
-	val, _, err := PowerIteration(NewMatrix(3, 3), 0, 0)
-	if err != nil || val != 0 {
-		t.Fatalf("zero matrix: %g, %v", val, err)
-	}
-}
-
 func TestEigenConvergenceReported(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	n := 12
@@ -289,25 +238,22 @@ func TestEigenConvergenceReported(t *testing.T) {
 			m.Set(j, i, v)
 		}
 	}
-	res, err := SymmetricEigen(m, 0)
+	res, err := SymmetricEigen(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
-		t.Fatalf("well-conditioned matrix reported non-converged after %d sweeps", res.Sweeps)
-	}
-	if res.Sweeps < 1 || res.Sweeps > jacobiMaxSweeps {
-		t.Fatalf("sweeps = %d out of (0,%d]", res.Sweeps, jacobiMaxSweeps)
+	if res.Iterations < 1 || res.Iterations > qlMaxIter*n {
+		t.Fatalf("iterations = %d out of [1,%d]", res.Iterations, qlMaxIter*n)
 	}
 }
 
 func TestEigenDiagonalConvergesInZeroSweeps(t *testing.T) {
 	m, _ := FromRows([][]float64{{4, 0}, {0, 1}})
-	res, err := SymmetricEigen(m, 0)
+	res, err := SymmetricEigen(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged || res.Sweeps != 0 {
-		t.Fatalf("diagonal input: converged=%v sweeps=%d, want true/0", res.Converged, res.Sweeps)
+	if res.Iterations != 0 {
+		t.Fatalf("diagonal input: iterations = %d, want 0", res.Iterations)
 	}
 }

@@ -1,6 +1,7 @@
 // Package linalg implements the small dense linear-algebra kernel needed
 // by spectral clustering: row-major float64 matrices, vector operations
-// and a cyclic Jacobi eigendecomposition for real symmetric matrices.
+// and a Householder-plus-implicit-QL eigendecomposition for real
+// symmetric matrices.
 //
 // The matrices in this pipeline are similarity matrices over job samples
 // (typically 100×100, occasionally a few thousand square), so a dense,
