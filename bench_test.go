@@ -52,7 +52,7 @@ func getFixture(b *testing.B) *fixture {
 			fixErr = err
 			return
 		}
-		cands, _, err := sampling.Filter(jobs, sampling.PaperCriteria(benchWindow))
+		cands, _, err := sampling.FilterOpts(jobs, sampling.PaperCriteria(benchWindow), sampling.FilterOptions{Workers: 1})
 		if err != nil {
 			fixErr = err
 			return

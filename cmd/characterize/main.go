@@ -53,7 +53,7 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("characterize: %v", err)
 	}
-	cands, fstats, err := sampling.FilterParallel(jobs, sampling.PaperCriteria(cli.TraceWindow()), *pf.Workers)
+	cands, fstats, err := sampling.FilterOpts(jobs, sampling.PaperCriteria(cli.TraceWindow()), sampling.FilterOptions{Workers: *pf.Workers})
 	if err != nil {
 		return fmt.Errorf("characterize: %v", err)
 	}

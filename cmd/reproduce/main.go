@@ -95,7 +95,7 @@ func run() error {
 		fmt.Printf("== Ingest ==\n%s\n\n", istats.Summary())
 	}
 
-	cands, fstats, err := sampling.FilterParallel(jobs, sampling.PaperCriteria(cli.TraceWindow()), *pf.Workers)
+	cands, fstats, err := sampling.FilterOpts(jobs, sampling.PaperCriteria(cli.TraceWindow()), sampling.FilterOptions{Workers: *pf.Workers})
 	if err != nil {
 		return fmt.Errorf("reproduce: %v", err)
 	}

@@ -21,7 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cands, fstats, err := sampling.Filter(jobs, sampling.PaperCriteria(2*8*24*3600))
+	cands, fstats, err := sampling.FilterOpts(jobs, sampling.PaperCriteria(2*8*24*3600), sampling.FilterOptions{Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cands, _, err := sampling.Filter(jobs, sampling.PaperCriteria(2*8*24*3600))
+	cands, _, err := sampling.FilterOpts(jobs, sampling.PaperCriteria(2*8*24*3600), sampling.FilterOptions{Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestCSVIdentityThroughPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := trace.GroupTasks(records)
+	direct := trace.GroupTasksN(records, 1)
 
 	var buf bytes.Buffer
 	if err := trace.WriteTasks(&buf, records); err != nil {
@@ -158,7 +158,7 @@ func TestChooseKFindsPaperK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, _, err := sampling.Filter(jobs, sampling.PaperCriteria(benchWindow))
+	cands, _, err := sampling.FilterOpts(jobs, sampling.PaperCriteria(benchWindow), sampling.FilterOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -24,6 +23,7 @@ import (
 	"jobgraph/internal/engine/cache"
 	"jobgraph/internal/linalg"
 	"jobgraph/internal/obs"
+	"jobgraph/internal/par"
 	"jobgraph/internal/pattern"
 	"jobgraph/internal/sampling"
 	"jobgraph/internal/stages"
@@ -201,12 +201,27 @@ func (cfg Config) plan(jobs []trace.Job, lg *slog.Logger, times *jobTimes) *engi
 			if times != nil {
 				times.durs = make([]time.Duration, len(sample))
 			}
-			workers := cfg.Workers
-			if workers <= 0 {
-				workers = runtime.GOMAXPROCS(0)
-			}
+			// Pool liveness for the stall watchdog: armed before the first
+			// job, beaten on every completion, disarmed when the pool
+			// drains — a pool whose workers all wedge shows up as an
+			// active, silent heartbeat.
 			reg := obs.Default()
-			err = runPool(stages.DAGJobs, len(sample), workers, cfg.OnJob, func(i int) error {
+			hb := reg.Heartbeat("core.pool." + stages.DAGJobs)
+			hb.Beat()
+			defer hb.Done()
+			rate := reg.RateCounter("core.pool."+stages.DAGJobs+".items", obs.DefaultWindow)
+			onDone := func(done, total int) error {
+				hb.Beat()
+				rate.Add(1)
+				if cfg.OnJob == nil {
+					return nil
+				}
+				if err := cfg.OnJob(done, total); err != nil {
+					return fmt.Errorf("core: %s aborted after %d/%d jobs: %w", stages.DAGJobs, done, total, err)
+				}
+				return nil
+			}
+			err = par.For(len(sample), cfg.Workers, func(i int) error {
 				if times != nil {
 					start := reg.Now()
 					defer func() { times.durs[i] = reg.Now().Sub(start) }()
@@ -238,7 +253,7 @@ func (cfg Config) plan(jobs []trace.Job, lg *slog.Logger, times *jobTimes) *engi
 				graphs[i] = g
 				jstats[i] = js
 				return nil
-			})
+			}, onDone)
 			if err != nil {
 				return nil, "", err
 			}

@@ -59,7 +59,7 @@ func (c Config) slowJobK() int {
 // fills it only when it actually executes, so a cache-served stage
 // leaves it empty.
 type jobTimes struct {
-	durs []time.Duration // index-aligned with the sample; filled by runPool workers
+	durs []time.Duration // index-aligned with the sample; filled by the par.For workers
 }
 
 // slowJobs assembles the top-k exemplars from the measured times. The

@@ -249,9 +249,10 @@ func (p *Plan) Execute(opt Options) (*Result, error) {
 	prog := obs.Default().Progress()
 	stageWindow := obs.Default().WindowHistogram("engine.stage_ms", obs.DefaultWindow)
 	// Plan-level liveness for the stall watchdog: one beat per stage
-	// boundary. Stages that parallelize internally (runPool, the ingest
-	// shards) carry their own finer-grained heartbeats; this one catches
-	// a plan wedged between stages or inside a monolithic stage's setup.
+	// boundary. Stages that parallelize internally (the dag.jobs pool,
+	// the ingest shards) carry their own finer-grained heartbeats; this
+	// one catches a plan wedged between stages or inside a monolithic
+	// stage's setup.
 	hb := obs.Default().Heartbeat("engine.stages")
 	hb.Beat()
 	defer hb.Done()

@@ -48,15 +48,6 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -142,23 +133,6 @@ func (m *Matrix) IsSymmetric(tol float64) bool {
 		}
 	}
 	return true
-}
-
-// MaxAbsOffDiag returns the largest |m[i][j]|, i≠j, for a square matrix.
-// Zero for 1×1 matrices.
-func (m *Matrix) MaxAbsOffDiag() float64 {
-	var mx float64
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if i == j {
-				continue
-			}
-			if a := math.Abs(m.At(i, j)); a > mx {
-				mx = a
-			}
-		}
-	}
-	return mx
 }
 
 // FrobeniusNorm returns sqrt(Σ m[i][j]²).

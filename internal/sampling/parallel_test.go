@@ -10,12 +10,12 @@ import (
 func TestFilterParallelEquivalence(t *testing.T) {
 	jobs := genJobs(t, 3000, 11)
 	c := PaperCriteria(window())
-	want, wantStats, err := FilterParallel(jobs, c, 1)
+	want, wantStats, err := FilterOpts(jobs, c, FilterOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{2, 4, 9} {
-		got, gotStats, err := FilterParallel(jobs, c, w)
+	for _, w := range []int{0, 2, 4, 9} {
+		got, gotStats, err := FilterOpts(jobs, c, FilterOptions{Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -50,7 +50,7 @@ func BenchmarkParallelDAGBuild(b *testing.B) {
 		b.Run(benchName(w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cands, _, err := FilterParallel(jobs, c, w)
+				cands, _, err := FilterOpts(jobs, c, FilterOptions{Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -10,16 +10,16 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 
 	"jobgraph/internal/dag"
 	"jobgraph/internal/obs"
+	"jobgraph/internal/par"
 	"jobgraph/internal/taskname"
 	"jobgraph/internal/trace"
 )
 
 // Filter outcome tallies, keyed by rejection reason — the counter form
-// of FilterStats, accumulated across every Filter call in the process
+// of FilterStats, accumulated across every FilterOpts call in the process
 // so metrics.json shows the §IV-B selection funnel.
 var (
 	obsFilterInput    = obs.Default().Counter("sampling.filter.input")
@@ -33,7 +33,7 @@ var (
 	obsSampledJobs    = obs.Default().Counter("sampling.sampled_jobs")
 )
 
-// record mirrors one Filter outcome into the process-wide counters.
+// record mirrors one FilterOpts outcome into the process-wide counters.
 func (st FilterStats) record() {
 	obsFilterInput.Add(int64(st.Input))
 	obsFilterKept.Add(int64(st.Kept))
@@ -113,24 +113,14 @@ type FilterOptions struct {
 	Arena *taskname.Arena
 }
 
-// Filter applies Integrity and Availability, building a DAG for every
-// surviving job. Jobs whose names fail to decode into any DAG vertices
-// are counted as NonDAG and dropped (they are the ~50% independent
-// workload, not an error).
-func Filter(jobs []trace.Job, c Criteria) ([]Candidate, FilterStats, error) {
-	return FilterOpts(jobs, c, FilterOptions{Workers: 1})
-}
-
-// FilterParallel is Filter across `workers` goroutines; see FilterOpts.
-func FilterParallel(jobs []trace.Job, c Criteria, workers int) ([]Candidate, FilterStats, error) {
-	return FilterOpts(jobs, c, FilterOptions{Workers: workers})
-}
-
-// FilterOpts is Filter under explicit execution options: the job list
-// is cut into contiguous shards filtered independently — per-job DAG
-// construction dominates the cost and is embarrassingly parallel — and
-// the surviving candidates are merged in shard order, so the output is
-// identical at every worker count.
+// FilterOpts applies Integrity and Availability, building a DAG for
+// every surviving job. Jobs whose names fail to decode into any DAG
+// vertices are counted as NonDAG and dropped (they are the ~50%
+// independent workload, not an error). The job list is cut into
+// contiguous shards filtered independently — per-job DAG construction
+// dominates the cost and is embarrassingly parallel — and the surviving
+// candidates are merged in shard order, so the output is identical at
+// every worker count.
 func FilterOpts(jobs []trace.Job, c Criteria, opt FilterOptions) ([]Candidate, FilterStats, error) {
 	workers := opt.Workers
 	if err := c.validate(); err != nil {
@@ -139,39 +129,24 @@ func FilterOpts(jobs []trace.Job, c Criteria, opt FilterOptions) ([]Candidate, F
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	workers = min(workers, max(len(jobs), 1))
+	outs := make([][]Candidate, workers)
+	stats := make([]FilterStats, workers)
+	par.For(workers, workers, func(w int) error {
+		outs[w], stats[w] = filterRange(jobs[len(jobs)*w/workers:len(jobs)*(w+1)/workers], c, opt.Arena)
+		return nil
+	}, nil)
+	out, st := outs[0], stats[0]
+	for w := 1; w < workers; w++ {
+		out = append(out, outs[w]...)
+		st.NotTerminated += stats[w].NotTerminated
+		st.OutsideWindow += stats[w].OutsideWindow
+		st.NoWindow += stats[w].NoWindow
+		st.NonDAG += stats[w].NonDAG
+		st.SizeRejected += stats[w].SizeRejected
+		st.BuildErrors += stats[w].BuildErrors
 	}
-	var out []Candidate
-	st := FilterStats{Input: len(jobs)}
-	if workers > 1 {
-		outs := make([][]Candidate, workers)
-		stats := make([]FilterStats, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := len(jobs) * w / workers
-			hi := len(jobs) * (w + 1) / workers
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				outs[w], stats[w] = filterRange(jobs[lo:hi], c, opt.Arena)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for w := 0; w < workers; w++ {
-			out = append(out, outs[w]...)
-			st.NotTerminated += stats[w].NotTerminated
-			st.OutsideWindow += stats[w].OutsideWindow
-			st.NoWindow += stats[w].NoWindow
-			st.NonDAG += stats[w].NonDAG
-			st.SizeRejected += stats[w].SizeRejected
-			st.BuildErrors += stats[w].BuildErrors
-		}
-	} else {
-		out, st = filterRange(jobs, c, opt.Arena)
-		st.Input = len(jobs)
-	}
-	st.Kept = len(out)
+	st.Input, st.Kept = len(jobs), len(out)
 	st.record()
 	return out, st, nil
 }

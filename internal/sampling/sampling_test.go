@@ -20,7 +20,7 @@ func window() int64 { return 8 * 24 * 3600 * 2 } // generous: arrival + runtime
 
 func TestFilterKeepsOnlyTerminatedDAGs(t *testing.T) {
 	jobs := genJobs(t, 2000, 1)
-	cands, st, err := Filter(jobs, PaperCriteria(window()))
+	cands, st, err := FilterOpts(jobs, PaperCriteria(window()), FilterOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestFilterAvailabilityWindow(t *testing.T) {
 	crit := PaperCriteria(window())
 	crit.WindowStart = 1 << 60
 	crit.WindowEnd = 1<<60 + 1000
-	cands, st, err := Filter(jobs, crit)
+	cands, st, err := FilterOpts(jobs, crit, FilterOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestFilterSizeBounds(t *testing.T) {
 	crit := PaperCriteria(window())
 	crit.MinSize = 10
 	crit.MaxSize = 31
-	cands, st, err := Filter(jobs, crit)
+	cands, st, err := FilterOpts(jobs, crit, FilterOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,17 +93,17 @@ func TestFilterSizeBounds(t *testing.T) {
 }
 
 func TestFilterValidation(t *testing.T) {
-	if _, _, err := Filter(nil, Criteria{WindowStart: 5, WindowEnd: 5}); err == nil {
+	if _, _, err := FilterOpts(nil, Criteria{WindowStart: 5, WindowEnd: 5}, FilterOptions{Workers: 1}); err == nil {
 		t.Fatal("empty window accepted")
 	}
-	if _, _, err := Filter(nil, Criteria{WindowEnd: 10, MinSize: 5, MaxSize: 2}); err == nil {
+	if _, _, err := FilterOpts(nil, Criteria{WindowEnd: 10, MinSize: 5, MaxSize: 2}, FilterOptions{Workers: 1}); err == nil {
 		t.Fatal("inverted size bounds accepted")
 	}
 }
 
 func TestSampleDiverseCoversSizesFirst(t *testing.T) {
 	jobs := genJobs(t, 5000, 4)
-	cands, _, err := Filter(jobs, PaperCriteria(window()))
+	cands, _, err := FilterOpts(jobs, PaperCriteria(window()), FilterOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestSampleDiverseCoversSizesFirst(t *testing.T) {
 func TestSampleDiversePaperScale(t *testing.T) {
 	// 100 jobs sampled as in the paper: expect many distinct sizes.
 	jobs := genJobs(t, 20000, 5)
-	cands, _, err := Filter(jobs, PaperCriteria(window()))
+	cands, _, err := FilterOpts(jobs, PaperCriteria(window()), FilterOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSampleDiversePaperScale(t *testing.T) {
 
 func TestSampleDiverseEdgeCases(t *testing.T) {
 	jobs := genJobs(t, 200, 6)
-	cands, _, err := Filter(jobs, PaperCriteria(window()))
+	cands, _, err := FilterOpts(jobs, PaperCriteria(window()), FilterOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestSampleDiverseEdgeCases(t *testing.T) {
 
 func TestSampleDiverseDeterministic(t *testing.T) {
 	jobs := genJobs(t, 1000, 7)
-	cands, _, err := Filter(jobs, PaperCriteria(window()))
+	cands, _, err := FilterOpts(jobs, PaperCriteria(window()), FilterOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSampleDiverseDeterministic(t *testing.T) {
 
 func TestGraphs(t *testing.T) {
 	jobs := genJobs(t, 300, 8)
-	cands, _, err := Filter(jobs, PaperCriteria(window()))
+	cands, _, err := FilterOpts(jobs, PaperCriteria(window()), FilterOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -39,6 +38,7 @@ import (
 	"jobgraph/internal/dag"
 	"jobgraph/internal/obs"
 	"jobgraph/internal/obs/promexport"
+	"jobgraph/internal/par"
 	"jobgraph/internal/trace"
 	"jobgraph/internal/wl"
 )
@@ -506,31 +506,12 @@ func (s *Server) flush(batch []*op) {
 
 	// Classification: independent per job, fanned across the pool.
 	if len(classifies) > 0 {
-		workers := s.cfg.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(classifies) {
-			workers = len(classifies)
-		}
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					it := classifies[i]
-					it.res, it.err = s.classify(it.o.ctx, it.name, it.rows)
-					hb.Beat()
-				}
-			}()
-		}
-		for i := range classifies {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+		par.For(len(classifies), s.cfg.Workers, func(i int) error {
+			it := classifies[i]
+			it.res, it.err = s.classify(it.o.ctx, it.name, it.rows)
+			hb.Beat()
+			return nil // a failed job answers its own request; the rest go on
+		}, nil)
 
 		// Results journal + respond (second group commit).
 		var syncErr error

@@ -4,54 +4,33 @@ import (
 	"container/list"
 	"io"
 	"sort"
-	"sync"
 
 	"jobgraph/internal/obs"
+	"jobgraph/internal/par"
 )
 
-// GroupTasks collects task rows into per-job bundles. Jobs are returned
-// sorted by name; each job's tasks are sorted by task name for
-// deterministic downstream processing.
-func GroupTasks(records []TaskRecord) []Job {
-	return GroupTasksN(records, 1)
-}
-
-// GroupTasksN is GroupTasks across `workers` goroutines (<=0 uses all
-// CPUs): the record slice is cut into contiguous shards, each worker
-// builds a per-shard job map, and the maps are merged in shard order so
-// every job's task list preserves exact input order before the final
-// per-job sort. The output is identical at every worker count.
+// GroupTasksN collects task rows into per-job bundles across `workers`
+// goroutines (<=0 uses all CPUs). Jobs are returned sorted by name; each
+// job's tasks are sorted by task name for deterministic downstream
+// processing. The record slice is cut into contiguous shards, each
+// worker builds a per-shard job map, and the maps are merged in shard
+// order so every job's task list preserves exact input order before the
+// final per-job sort. The output is identical at every worker count.
 func GroupTasksN(records []TaskRecord, workers int) []Job {
-	workers = resolveWorkers(workers)
-	if workers > len(records) {
-		workers = len(records)
-	}
-	byJob := make(map[string][]TaskRecord)
-	if workers > 1 {
-		shards := make([]map[string][]TaskRecord, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := len(records) * w / workers
-			hi := len(records) * (w + 1) / workers
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				m := make(map[string][]TaskRecord)
-				for _, r := range records[lo:hi] {
-					m[r.JobName] = append(m[r.JobName], r)
-				}
-				shards[w] = m
-			}(w, lo, hi)
+	workers = min(resolveWorkers(workers), max(len(records), 1))
+	shards := make([]map[string][]TaskRecord, workers)
+	par.For(workers, workers, func(w int) error {
+		m := make(map[string][]TaskRecord)
+		for _, r := range records[len(records)*w/workers : len(records)*(w+1)/workers] {
+			m[r.JobName] = append(m[r.JobName], r)
 		}
-		wg.Wait()
-		for _, m := range shards {
-			for name, tasks := range m {
-				byJob[name] = append(byJob[name], tasks...)
-			}
-		}
-	} else {
-		for _, r := range records {
-			byJob[r.JobName] = append(byJob[r.JobName], r)
+		shards[w] = m
+		return nil
+	}, nil)
+	byJob := shards[0]
+	for _, m := range shards[1:] {
+		for name, tasks := range m {
+			byJob[name] = append(byJob[name], tasks...)
 		}
 	}
 	jobs := make([]Job, 0, len(byJob))
@@ -59,38 +38,16 @@ func GroupTasksN(records []TaskRecord, workers int) []Job {
 		jobs = append(jobs, Job{Name: name, Tasks: tasks})
 	}
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Name < jobs[j].Name })
-	parallelEach(len(jobs), workers, func(i int) {
-		tasks := jobs[i].Tasks
-		sort.Slice(tasks, func(a, b int) bool { return tasks[a].TaskName < tasks[b].TaskName })
-	})
-	return jobs
-}
-
-// parallelEach runs fn(i) for i in [0,n) across up to `workers`
-// goroutines, partitioned contiguously. workers<=1 runs inline.
-func parallelEach(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
+	// Sort each job's tasks, one contiguous run of jobs per worker: a
+	// job's sort is too small to dispatch on its own.
+	par.For(workers, workers, func(w int) error {
+		for _, j := range jobs[len(jobs)*w/workers : len(jobs)*(w+1)/workers] {
+			tasks := j.Tasks
+			sort.Slice(tasks, func(a, b int) bool { return tasks[a].TaskName < tasks[b].TaskName })
 		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		return nil
+	}, nil)
+	return jobs
 }
 
 // ReadJobs streams batch_task rows from r and returns them grouped by
@@ -138,7 +95,7 @@ type openJob struct {
 // job, emitting each job as soon as its rows stop arriving — memory is
 // bounded by the job window (DefaultMaxOpenJobs distinct in-flight
 // jobs), not by the table size. Within a job, tasks are sorted by task
-// name exactly as GroupTasks produces them; jobs are emitted in
+// name exactly as GroupTasksN produces them; jobs are emitted in
 // trace order (first-row order), not sorted by name.
 //
 // If a job's rows reappear after its window entry was already flushed

@@ -187,7 +187,7 @@ func TestStatusKnown(t *testing.T) {
 }
 
 func TestGroupTasks(t *testing.T) {
-	jobs := GroupTasks(sampleTasks())
+	jobs := GroupTasksN(sampleTasks(), 1)
 	if len(jobs) != 2 {
 		t.Fatalf("jobs = %d, want 2", len(jobs))
 	}
@@ -203,7 +203,7 @@ func TestGroupTasks(t *testing.T) {
 }
 
 func TestJobWindow(t *testing.T) {
-	jobs := GroupTasks(sampleTasks())
+	jobs := GroupTasksN(sampleTasks(), 1)
 	start, end, ok := jobs[0].Window()
 	if !ok || start != 100 || end != 200 {
 		t.Fatalf("window = %d..%d ok=%v", start, end, ok)
@@ -215,7 +215,7 @@ func TestJobWindow(t *testing.T) {
 }
 
 func TestJobAllTerminated(t *testing.T) {
-	jobs := GroupTasks(sampleTasks())
+	jobs := GroupTasksN(sampleTasks(), 1)
 	if !jobs[0].AllTerminated() {
 		t.Fatal("j_1 should be terminated")
 	}

@@ -229,7 +229,7 @@ func GenerateJobs(cfg Config) ([]trace.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	return trace.GroupTasks(recs), nil
+	return trace.GroupTasksN(recs, 1), nil
 }
 
 func shapeByName(name string) shapeKind {

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"jobgraph/internal/dag"
+	"jobgraph/internal/par"
 )
 
 // HashedFeatures embeds every graph using feature hashing instead of a
@@ -39,30 +39,20 @@ func HashedFeatures(graphs []*dag.Graph, opt Options, buckets, workers int) ([]V
 		workers = len(graphs)
 	}
 
+	// One contiguous shard per worker, each with its own embedder, so
+	// scratch buffers and the token cache amortize across every graph
+	// of the shard. Each index belongs to exactly one shard; no locks.
 	out := make([]Vector, len(graphs))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One embedder per worker: scratch buffers and the token
-			// cache amortize across every graph the worker embeds.
-			e := newHashedEmbedder(buckets)
-			for i := range work {
-				// Each index is owned by exactly one worker; no locks.
-				vec := make(Vector)
-				e.embedInto(vec, graphs[i], opt)
-				out[i] = vec
-			}
-		}()
-	}
-	for i := range graphs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return out, nil
+	err := par.For(workers, workers, func(s int) error {
+		e := newHashedEmbedder(buckets)
+		for i := len(graphs) * s / workers; i < len(graphs)*(s+1)/workers; i++ {
+			vec := make(Vector)
+			e.embedInto(vec, graphs[i], opt)
+			out[i] = vec
+		}
+		return nil
+	}, nil)
+	return out, err
 }
 
 // hashedEmbed computes one graph's hashed WL subtree vector with a

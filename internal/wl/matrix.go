@@ -2,11 +2,10 @@ package wl
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"jobgraph/internal/linalg"
 	"jobgraph/internal/obs"
+	"jobgraph/internal/par"
 )
 
 // obsKernelPairs counts pairwise similarity evaluations (upper
@@ -53,78 +52,41 @@ func SymMatrixFromCompactOpts(vecs []CompactVector, opt MatrixOptions) (*linalg.
 		self[i] = vecs[i].SelfDot()
 	}
 	m := linalg.NewSymMatrix(n)
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 
-	// Row i owns columns j >= i (upper triangle). Rows are handed out
-	// via a channel so long rows (small i) and short rows (large i)
-	// balance across workers without precomputing a schedule. On abort
-	// the feeder stops handing out rows and closes the channel, so every
-	// worker — including ones mid-row — exits after its current row; a
-	// worker never writes outside its own rows, so the dropped result
-	// holds no torn cells (it is discarded regardless).
-	rows := make(chan int)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	var mu sync.Mutex // guards done + abortErr, serializes OnRow
-	var abortErr error
-	done := 0
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range rows {
-				for j := i; j < n; j++ {
-					var s float64
-					switch {
-					case i == j:
-						s = 1
-					case self[i] == 0 && self[j] == 0:
-						s = 1 // two empty graphs coincide
-					case self[i] == 0 || self[j] == 0:
-						s = 0
-					default:
-						s = normalizeKernel(vecs[i].Dot(vecs[j]), self[i], self[j])
-					}
-					m.Set(i, j, s)
-				}
-				if opt.OnRow == nil {
-					continue
-				}
-				mu.Lock()
-				done++
-				err := opt.OnRow(done, n)
-				if err != nil && abortErr == nil {
-					abortErr = fmt.Errorf("wl: kernel matrix aborted after %d/%d rows: %w", done, n, err)
-				}
-				mu.Unlock()
-				if err != nil {
-					stopOnce.Do(func() { close(stop) })
-					return
-				}
+	// Row i owns columns j >= i (upper triangle), so rows write disjoint
+	// cells. Rows are handed out one at a time, so long rows (small i)
+	// and short rows (large i) balance across workers without a
+	// precomputed schedule. On abort, in-flight rows finish and the
+	// partial matrix is discarded.
+	var onDone func(done, total int) error
+	if opt.OnRow != nil {
+		onDone = func(done, total int) error {
+			if err := opt.OnRow(done, total); err != nil {
+				return fmt.Errorf("wl: kernel matrix aborted after %d/%d rows: %w", done, total, err)
 			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case rows <- i:
-		case <-stop:
-			break feed
+			return nil
 		}
 	}
-	close(rows)
-	wg.Wait()
-	if abortErr != nil {
+	err := par.For(n, opt.Workers, func(i int) error {
+		for j := i; j < n; j++ {
+			var s float64
+			switch {
+			case i == j:
+				s = 1
+			case self[i] == 0 && self[j] == 0:
+				s = 1 // two empty graphs coincide
+			case self[i] == 0 || self[j] == 0:
+				s = 0
+			default:
+				s = normalizeKernel(vecs[i].Dot(vecs[j]), self[i], self[j])
+			}
+			m.Set(i, j, s)
+		}
+		return nil
+	}, onDone)
+	if err != nil {
 		obsKernelAborts.Add(1)
-		return nil, abortErr
+		return nil, err
 	}
 	obsKernelPairs.Add(int64(n) * int64(n+1) / 2)
 	return m, nil

@@ -10,8 +10,8 @@ package wl
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
+
+	"jobgraph/internal/par"
 )
 
 // SketchOptions parameterizes MinHash signatures and their banded LSH
@@ -162,34 +162,12 @@ func Sketches(vectors []Vector, opt SketchOptions, workers int) ([]Sketch, error
 		return nil, err
 	}
 	seeds := hashSeeds(opt)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(vectors) {
-		workers = len(vectors)
-	}
 	out := make([]Sketch, len(vectors))
-	if len(vectors) == 0 {
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				// Each index is owned by exactly one worker; no locks.
-				out[i] = sketchWithSeeds(vectors[i], seeds)
-			}
-		}()
-	}
-	for i := range vectors {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return out, nil
+	err := par.For(len(vectors), workers, func(i int) error {
+		out[i] = sketchWithSeeds(vectors[i], seeds)
+		return nil
+	}, nil)
+	return out, err
 }
 
 // bandKey folds one band of a signature into a single 64-bit LSH key
